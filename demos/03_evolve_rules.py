@@ -22,7 +22,6 @@ def main():
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--generations", type=int, default=12, help="generation cap")
     ap.add_argument("--population", type=int, default=20)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--blind", action="store_true",
                     help="start from uniform random genomes instead of "
                          "likelihood-guided ones (expect zeros)")
@@ -52,7 +51,7 @@ def main():
         init = [guided_rule(tables, g).to_genome() for _ in range(cfg.population)]
         print("initial population drawn from the bundled likelihood tables")
 
-    result = ea_run(cfg, seed=args.seed, init=init, threads=args.threads)
+    result = ea_run(cfg, seed=args.seed, init=init)
 
     print("\n gen    best        mean")
     for gen, best, mean in result.history:

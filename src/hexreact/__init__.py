@@ -18,6 +18,7 @@ from .detector import (
     extract_components,
     fitness,
     random_patch_grid,
+    soup_localizations,
     track,
 )
 from .evolve import EAConfig, EARun, crossover, ea_run, mutate
@@ -100,6 +101,7 @@ __all__ = [
     "replant_glider",
     "run",
     "sample_rules",
+    "soup_localizations",
     "ssa_run",
     "standard_system",
     "stationarity_sweep",

@@ -34,14 +34,12 @@ from .detector import (
     FitnessConfig,
     Localization,
     extract_components,
-    random_patch_grid,
+    soup_localizations,
     track,
 )
 from .engine import Trajectory, _neighbour_sums, run
-from .hexgrid import Grid
-from .rules import PAIR_INDEX, PAIRS, RuleMatrix
-
-_STATE_LETTERS = "SAB"
+from .hexgrid import Grid, axial_to_offset
+from .rules import GENOME_ALPHABET, PAIR_INDEX, PAIRS, RuleMatrix
 
 
 # -- likelihood tables ---------------------------------------------------------
@@ -190,17 +188,9 @@ def _materialize_shape(shape, size: int) -> Grid:
     q0 = size // 2 - (max(qs) - min(qs)) // 2
     g = Grid.filled(size, size)
     for ar, aq, state in shape:
-        r = (ar + r0) % size
-        c = (aq + q0 + ((ar + r0) - ((ar + r0) & 1)) // 2) % size
-        g[r, c] = state
+        r, c = axial_to_offset(aq + q0, ar + r0)
+        g[r % size, c % size] = state
     return g
-
-
-def _soup_localizations(rule: RuleMatrix, cfg: FitnessConfig, seed) -> list[Localization]:
-    """Track one random soup: ``seed`` -> patch -> run -> trailing window."""
-    soup = random_patch_grid(cfg, np.random.default_rng(seed))
-    traj = run(soup, rule, cfg.steps, keep_last=cfg.window)
-    return track(traj, p_max=cfg.p_max)
 
 
 def replant_glider(
@@ -239,7 +229,7 @@ def find_glider(
     """
     seeds = rng.integers(0, 2**63, size=max_trials)
     for seed in seeds:
-        for loc in _soup_localizations(rule, cfg, int(seed)):
+        for loc in soup_localizations(rule, cfg, int(seed)):
             if loc.loc_class != GLIDER:
                 continue
             trace = replant_glider(rule, loc.shapes[-1], cfg.p_max, lone_size)
@@ -360,7 +350,7 @@ class ReducedRuleSet:
         return self.allowed[(i, j)]
 
     def letters(self, i: int, j: int) -> str:
-        return "".join(_STATE_LETTERS[s] for s in sorted(self.allowed[(i, j)]))
+        return "".join(GENOME_ALPHABET[s] for s in sorted(self.allowed[(i, j)]))
 
     def count(self) -> int:
         n = 1
@@ -386,7 +376,7 @@ class ReducedRuleSet:
                 continue
             i, j, letters = line.split(",")
             allowed[(int(i), int(j))] = frozenset(
-                _STATE_LETTERS.index(ch) for ch in letters.strip()
+                GENOME_ALPHABET.index(ch) for ch in letters.strip()
             )
         return cls(allowed)
 
@@ -533,7 +523,7 @@ def stationarity_sweep(
     for rule in rules:
         entry = SweepEntry(rule, {})
         for seed in rng.integers(0, 2**63, size=cfg.trials):
-            for loc in _soup_localizations(rule, cfg, int(seed)):
+            for loc in soup_localizations(rule, cfg, int(seed)):
                 entry.histogram[loc.loc_class] = entry.histogram.get(loc.loc_class, 0) + 1
                 if loc.loc_class in MOBILE_CLASSES:
                     entry.mobile.append(loc)
@@ -612,8 +602,6 @@ def class_census(rset: ReducedRuleSet, cfg: FitnessConfig, indices=None) -> list
     ``replant_glider``.  Returns one row per rule whose soups tracked a
     Glider or PufferTrain, in index order.
     """
-    if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
     rules = list(enumerate_rules(rset))
     indices = range(len(rules)) if indices is None else sorted(indices)
     rows = []
@@ -622,7 +610,7 @@ def class_census(rset: ReducedRuleSet, cfg: FitnessConfig, indices=None) -> list
         counts = {GLIDER: 0, PUFFER_TRAIN: 0}
         first_soup, verified, first, first_shape = None, 0, None, None
         for k in range(cfg.trials):
-            for loc in _soup_localizations(rule, cfg, [index, k]):
+            for loc in soup_localizations(rule, cfg, [index, k]):
                 if loc.loc_class not in MOBILE_CLASSES:
                     continue
                 first_soup = k if first_soup is None else first_soup

@@ -86,12 +86,17 @@ def _load_reduced(source: str) -> analysis.ReducedRuleSet:
         return analysis.ReducedRuleSet.from_csv(fh.read())
 
 
+def _read_grid(path: str) -> Grid:
+    with open(path, encoding="utf-8") as fh:
+        return Grid.from_text(fh.read())
+
+
 # -- subcommands ------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
     rule = load_rule(args.rule)
-    grid = Grid.from_text(open(args.grid, encoding="utf-8").read())
+    grid = _read_grid(args.grid)
     traj = run(grid, rule, args.steps, keep_last=args.keep_last)
     _write(args.dump, frames_to_text(traj.frames))
     if args.pgm_dir:
@@ -107,7 +112,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_detect(args) -> int:
     rule = load_rule(args.rule)
-    grid = Grid.from_text(open(args.grid, encoding="utf-8").read())
+    grid = _read_grid(args.grid)
     traj = run(grid, rule, args.steps, keep_last=args.window)
     locs = track(traj, p_max=args.p_max)
     lines = [REPORT_HEADER] + report_rows(locs)
@@ -131,7 +136,7 @@ def cmd_evolve(args) -> int:
         max_generations=args.max_generations,
         fitness=_fitness_config(args),
     )
-    result = ea_run(cfg, seed=args.seed, threads=args.threads)
+    result = ea_run(cfg, seed=args.seed)
     save_rules(
         args.out,
         [result.best_rule],
@@ -312,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stall", type=int, default=10,
                    help="stop after this many generations without improvement")
     p.add_argument("--max-generations", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="fitness evaluation workers (1 reproduces exactly)")
     p.add_argument("--out", default="best_rule.txt")
     p.add_argument("--history-out", default=None)
     p.add_argument("--append-corpus", default=None,

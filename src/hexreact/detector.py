@@ -334,24 +334,15 @@ def track(tr: Trajectory, window: int | None = None, p_max: int = 12) -> list[Lo
         return comps, shapes, labels
 
     done: list[_Track] = []
-    comps, shapes, labels = frame_info(frames[0])
     nonzero_cells = [np.flatnonzero(g.cells.ravel()) for g in frames]
-
-    tracks: dict[int, _Track] = {}
-    for idx, comp in enumerate(comps):
-        t = _Track(t_offset, p_max)
-        t.append(comp, shapes[idx][0], (0, 0), shapes[idx][1])
-        tracks[idx] = t
 
     def finish(trk: _Track, reason: str | None, at: int) -> None:
         trk.last_two_frames = nonzero_cells[max(0, at - 1) : at + 1]
         trk.finish(reason)
         done.append(trk)
 
-    _check_proximity(tracks, comps, lambda trk: finish(trk, "proximity", 0))
-    tracks = {i: trk for i, trk in tracks.items() if trk.alive}
-
-    for t in range(1, len(frames)):
+    tracks: dict[int, _Track] = {}
+    for t in range(len(frames)):
         comps_t, shapes_t, labels_t = frame_info(frames[t])
         claims: dict[int, list[int]] = {}
         succs: dict[int, list[int]] = {}
@@ -386,9 +377,8 @@ def track(tr: Trajectory, window: int | None = None, p_max: int = 12) -> list[Lo
                 next_tracks[idx] = fresh
 
         tracks = next_tracks
-        _check_proximity(tracks, comps_t, lambda trk: finish(trk, "proximity", t))
+        _check_proximity(tracks, lambda trk: finish(trk, "proximity", t))
         tracks = {i: trk for i, trk in tracks.items() if trk.alive}
-        comps, shapes, labels = comps_t, shapes_t, labels_t
 
     for trk in tracks.values():
         finish(trk, None, len(frames) - 1)
@@ -400,7 +390,7 @@ def track(tr: Trajectory, window: int | None = None, p_max: int = 12) -> list[Lo
     return locs
 
 
-def _check_proximity(tracks: dict, comps: list[Component], kill) -> None:
+def _check_proximity(tracks: dict, kill) -> None:
     """Terminate tracks whose components come within two cells of each other.
 
     Two components on the same frame always sit at least two cells apart
@@ -438,11 +428,6 @@ class FitnessConfig:
     empty ``width`` x ``height`` torus is seeded at random (each patch cell is
     A with probability ``p_a``, B with ``p_b``, else S).  The automaton runs
     ``steps`` updates and the trailing ``window`` frames are tracked.
-
-    ``skip_density``, when set, skips tracking for runs whose window opens
-    above that non-S cell fraction: dense turbulent fields cannot contain
-    isolated trackable localizations and cost the most to scan.  Detection
-    semantics are unchanged when it is None (the default).
     """
 
     width: int = 64
@@ -456,9 +441,12 @@ class FitnessConfig:
     p_max: int = 12
     trials: int = 5
     count_puffers: bool = True
-    skip_density: float | None = None
 
     def __post_init__(self):
+        if self.height % 2:
+            raise ValueError("tracking requires an even grid height")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
         if self.patch_width > self.width or self.patch_height > self.height:
             raise ValueError("patch must fit inside the grid")
         if not 0 <= self.p_a + self.p_b <= 1:
@@ -486,31 +474,27 @@ def count_mobile(locs: list[Localization], count_puffers: bool = True) -> int:
     return sum(1 for loc in locs if loc.loc_class in wanted)
 
 
+def soup_localizations(rule: RuleMatrix, cfg: FitnessConfig, seed) -> list[Localization]:
+    """Track one random soup: ``seed`` -> patch -> run -> trailing window."""
+    soup = random_patch_grid(cfg, np.random.default_rng(seed))
+    traj = run(soup, rule, cfg.steps, keep_last=cfg.window)
+    return track(traj, p_max=cfg.p_max)
+
+
 def fitness(rule: RuleMatrix, cfg: FitnessConfig, rng: np.random.Generator) -> float:
     """Mobile localizations per cell: the quantity the EA maximizes.
 
     Runs ``cfg.trials`` independent random soups and counts tracks classified
     Glider (and PufferTrain unless disabled) in each trailing window; the
-    total is normalized by grid area times trials.  Per-trial generators are
-    derived from ``rng`` up front, so trials are order-independent and could
-    be evaluated concurrently without changing the result.
+    total is normalized by grid area times trials.  Per-trial seeds are
+    drawn from ``rng`` up front, so trials are order-independent.
     """
     seeds = rng.integers(0, 2**63, size=cfg.trials)
-    total = 0
-    for seed in seeds:
-        total += _trial_mobile_count(rule, cfg, int(seed))
+    total = sum(
+        count_mobile(soup_localizations(rule, cfg, int(seed)), cfg.count_puffers)
+        for seed in seeds
+    )
     return total / (cfg.width * cfg.height * cfg.trials)
-
-
-def _trial_mobile_count(rule: RuleMatrix, cfg: FitnessConfig, seed: int) -> int:
-    grid = random_patch_grid(cfg, np.random.default_rng(seed))
-    traj = run(grid, rule, cfg.steps, keep_last=cfg.window)
-    if cfg.skip_density is not None:
-        density = traj[0].population() / (cfg.width * cfg.height)
-        if density > cfg.skip_density:
-            return 0
-    locs = track(traj, p_max=cfg.p_max)
-    return count_mobile(locs, cfg.count_puffers)
 
 
 # -- reporting -----------------------------------------------------------------

@@ -169,8 +169,3 @@ def grid_to_pgm(grid: Grid) -> bytes:
     img = levels[grid.cells]
     header = f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii")
     return header + img.tobytes()
-
-
-def save_pgm(path, grid: Grid) -> None:
-    with open(path, "wb") as fh:
-        fh.write(grid_to_pgm(grid))

@@ -8,21 +8,18 @@ improved for a configured number of consecutive generations.
 
 Fitness evaluation is deterministic per (genome, master seed): every genome
 gets its own generator derived from the master seed and the genome itself,
-so the measured value does not depend on evaluation order, memoization hits
-or thread count.
+so the measured value does not depend on evaluation order or memoization
+hits.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .detector import FitnessConfig, fitness
-from .rules import GENOME_LENGTH, RuleMatrix, random_rule
-
-_LETTERS = "SAB"
+from .rules import GENOME_ALPHABET, GENOME_LENGTH, RuleMatrix, random_rule
 
 
 @dataclass
@@ -69,7 +66,7 @@ def mutate(genome: str, rng: np.random.Generator) -> str:
     """Change exactly one letter; position 0 is pinned so (0, 0) stays S."""
     pos = int(rng.integers(1, GENOME_LENGTH))
     old = genome[pos]
-    new = _LETTERS[(("SAB".index(old)) + 1 + int(rng.integers(2))) % 3]
+    new = GENOME_ALPHABET[(GENOME_ALPHABET.index(old) + 1 + int(rng.integers(2))) % 3]
     return genome[:pos] + new + genome[pos + 1 :]
 
 
@@ -94,27 +91,11 @@ def default_fitness_fn(cfg: FitnessConfig, master_seed: int):
     return fn
 
 
-def _evaluate(genomes, fitness_fn, memo, threads: int) -> int:
-    """Fill memo for any unseen genomes; returns number of fresh evaluations."""
-    fresh = sorted({g for g in genomes if g not in memo})
-    if not fresh:
-        return 0
-    if threads > 1 and len(fresh) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for g, v in zip(fresh, pool.map(fitness_fn, fresh)):
-                memo[g] = v
-    else:
-        for g in fresh:
-            memo[g] = fitness_fn(g)
-    return len(fresh)
-
-
 def ea_run(
     cfg: EAConfig,
     seed: int,
     fitness_fn=None,
     init=None,
-    threads: int = 1,
 ) -> EARun:
     """Run the EA to stall (or the optional generation cap).
 
@@ -146,7 +127,10 @@ def ea_run(
         return max((population[int(k)] for k in picks), key=memo.__getitem__)
 
     while True:
-        evaluations += _evaluate(population, fitness_fn, memo, threads)
+        fresh = sorted({g for g in population if g not in memo})  # fixed evaluation order
+        for g in fresh:
+            memo[g] = fitness_fn(g)
+        evaluations += len(fresh)
         scores = [memo[g] for g in population]
         gen_best = max(scores)
         history.append((gen, gen_best, float(np.mean(scores))))

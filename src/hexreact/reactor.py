@@ -182,9 +182,6 @@ class SSAResult:
     def totals(self) -> np.ndarray:
         return self.counts.sum(axis=1)
 
-    def time_average(self, name: str) -> float:
-        return float(self.series(name).mean())
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("t," + ",".join(self.species) + "\n")

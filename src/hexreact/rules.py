@@ -25,10 +25,9 @@ PAIRS: tuple[tuple[int, int], ...] = tuple(
 PAIR_INDEX: dict[tuple[int, int], int] = {p: k for k, p in enumerate(PAIRS)}
 
 GENOME_LENGTH = len(PAIRS)  # 36
-GENOME_ALPHABET = "SAB"
+GENOME_ALPHABET = "SAB"  # letter of state 0 (S), 1 (A), 2 (B)
 
-_LETTER_TO_STATE = {"S": 0, "A": 1, "B": 2}
-_STATE_TO_LETTER = "SAB"
+_LETTER_TO_STATE = {letter: state for state, letter in enumerate(GENOME_ALPHABET)}
 
 
 class RuleMatrix:
@@ -74,7 +73,7 @@ class RuleMatrix:
             raise ValueError(f"bad genome letter {err.args[0]!r}") from None
 
     def to_genome(self) -> str:
-        return "".join(_STATE_TO_LETTER[v] for v in self.genome)
+        return "".join(GENOME_ALPHABET[v] for v in self.genome)
 
     @classmethod
     def from_entries(cls, mapping) -> "RuleMatrix":

@@ -271,6 +271,19 @@ def test_near_collision_terminates_by_proximity():
     assert all(l.loc_class == UNRESOLVED for l in prox)
 
 
+def test_proximity_clash_in_the_first_frame_ends_both_tracks_there():
+    # two cells two apart from the start: both tracks end by proximity at
+    # frame 0, before any linking has happened
+    frames = [grid_with(10, 14, {(5, 5): 1, (5, 7): 2}) for _ in range(4)]
+    locs = track(Trajectory(frames, t0=40))
+    first = [l for l in locs if l.first_frame == 40]
+    assert len(first) == 2
+    for loc in first:
+        assert loc.terminated == "proximity"
+        assert loc.frames == 1
+        assert loc.loc_class == UNRESOLVED
+
+
 def test_track_rejects_odd_height():
     with pytest.raises(ValueError):
         track(make_trajectory([Grid.filled(5, 6)]))
@@ -352,3 +365,7 @@ def test_fitness_config_validation():
         FitnessConfig(p_a=0.7, p_b=0.7)
     with pytest.raises(ValueError):
         FitnessConfig(steps=10, window=20)
+    with pytest.raises(ValueError, match="even grid height"):
+        FitnessConfig(height=63, patch_height=15)
+    with pytest.raises(ValueError, match="trials"):
+        FitnessConfig(trials=0)

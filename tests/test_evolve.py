@@ -168,15 +168,6 @@ def test_default_fitness_fn_is_seed_and_genome_pure():
     fn2(g)
 
 
-def test_threaded_run_matches_serial():
-    cfg = small_cfg(stall_generations=2, population=6)
-    fn = lambda g: float(g.count("A") * 3 + g.count("B"))
-    serial = ea_run(cfg, seed=21, fitness_fn=fn, threads=1)
-    threaded = ea_run(cfg, seed=21, fitness_fn=fn, threads=4)
-    assert serial.history == threaded.history
-    assert serial.best_genome == threaded.best_genome
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         EAConfig(population=1)
