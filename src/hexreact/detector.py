@@ -13,6 +13,19 @@ on which row parity it happens to occupy).  Canonical shapes are therefore
 placement-independent, and displacements come out as exact integer vectors
 ``(dr, dc)`` where ``dc`` counts axial columns.
 
+Each frame goes through one array pass (``_scan`` and ``_shapes``): component
+labels by hooking over the neighbour table, every component's cells, states
+and one-ring dilation from one ``np.unique``, and every canonical shape from
+one ``lexsort``.  Shapes need coordinates free of the torus wrap.  A
+component that does not touch both row 0 and row h-1, nor both column 0 and
+column w-1, cannot use a seam edge, so its torus coordinates serve as they
+are; a component that does is first shifted by an even number of rows and
+any number of columns until one of its empty rows and columns lies on the
+seam.  Only a component that occupies every row or every column, and so may
+wrap around the torus, is lifted by the BFS of ``_unwrap``.  ``track`` then
+links and checks proximity frame to frame with array operations over the
+same pass; ``extract_components`` and ``canonical_shape`` are views of it.
+
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
 relies on row wraps preserving parity.
@@ -43,6 +56,11 @@ UNRESOLVED = "Unresolved"
 MOBILE_CLASSES = (GLIDER, PUFFER_TRAIN)
 
 
+def _require_even_height(h: int) -> None:
+    if h % 2:
+        raise ValueError("tracking requires an even grid height (torus parity)")
+
+
 @dataclass(frozen=True)
 class Component:
     """A maximal connected set of non-S cells in one frame.
@@ -50,71 +68,141 @@ class Component:
     ``cells`` holds sorted flat indices (row * width + col); ``states`` is
     aligned with it.  ``dilated`` additionally includes the one-cell ring
     around the component, which is what linking and proximity tests need.
+    ``canonical`` is ``(h, w, shape, anchor)`` when the frame pass that found
+    the component also computed its canonical shape on an ``h`` x ``w`` torus.
     """
 
     cells: np.ndarray
     states: np.ndarray
     dilated: np.ndarray
+    canonical: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.cells)
 
 
+class _Frame:
+    """One frame's components, stored as concatenated per-component runs.
+
+    Component ``k`` (components ordered by smallest flat index) owns
+    ``cells[bounds[k]:bounds[k + 1]]`` (sorted) with ``states`` aligned, and
+    ``dilated[dil_bounds[k]:dil_bounds[k + 1]]`` (sorted), and ``dil_comp``
+    names the component of each dilated entry.  ``labels`` maps every flat
+    cell to its component, or -1 on substrate.
+    """
+
+    __slots__ = ("cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels")
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+
+def _component(frame: _Frame, k: int, canonical: tuple | None = None) -> Component:
+    """Component ``k`` of ``frame``, as views into the frame's arrays."""
+    lo, hi = frame.bounds[k], frame.bounds[k + 1]
+    return Component(
+        cells=frame.cells[lo:hi],
+        states=frame.states[lo:hi],
+        dilated=frame.dilated[frame.dil_bounds[k] : frame.dil_bounds[k + 1]],
+        canonical=canonical,
+    )
+
+
+def _roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Smallest member of each node's connected component, edges ``u``-``v``.
+
+    Shiloach-Vishkin style: every round hooks each root that has an edge into
+    a smaller root onto the smallest such root, then compresses every path to
+    its root; edges whose ends already share a root drop out.  A parent never
+    exceeds its child, so the final roots are the component minima.
+    """
+    parent = np.arange(n)
+    while len(u):
+        pu, pv = parent[u], parent[v]
+        cross = pu != pv
+        u, v, pu, pv = u[cross], v[cross], pu[cross], pv[cross]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return parent
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, by sort and mask.
+
+    numpy 2's hash-based ``np.unique`` is over ten times slower than this
+    on the few-thousand-entry arrays a frame produces.
+    """
+    keys = np.sort(keys, axis=None)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _scan(grid: Grid) -> _Frame:
+    """Label, group and dilate every component of ``grid`` in one pass."""
+    h, w = grid.shape
+    _require_even_height(h)
+    flat = grid.cells.ravel()
+    table = neighbor_table(h, w)
+    nz = np.flatnonzero(flat)
+    n = len(nz)
+    labels = np.full(h * w, -1, dtype=np.int64)
+    labels[nz] = np.arange(n)
+    around = labels[table[nz, 1:]]
+    edge = around > np.arange(n)[:, None]  # symmetric table: one direction suffices
+    root = _roots(np.nonzero(edge)[0], around[edge], n)
+
+    is_root = root == np.arange(n)
+    comp = (np.cumsum(is_root) - 1)[root]
+    count = int(is_root.sum())
+    labels[nz] = comp
+    frame = _Frame()
+    frame.labels = labels
+    comp, frame.cells = np.divmod(np.sort(comp * (h * w) + nz), h * w)
+    frame.states = flat[frame.cells]
+    frame.bounds = np.searchsorted(comp, np.arange(count + 1))
+    keys = _unique(comp[:, None] * (h * w) + table[frame.cells])
+    frame.dil_comp, frame.dilated = np.divmod(keys, h * w)
+    frame.dil_bounds = np.searchsorted(frame.dil_comp, np.arange(count + 1))
+    return frame
+
+
 def extract_components(grid: Grid) -> list[Component]:
     """Partition the non-S cells of ``grid`` into connected components.
 
-    6-neighbour adjacency on the torus; breadth-first flooding over batches
-    of frontier cells.  Components come back ordered by their smallest flat
-    index, so the result is deterministic.
+    6-neighbour adjacency on the torus, labelled for the whole frame at once
+    by ``_scan``; the same pass computes every canonical shape, which
+    ``canonical_shape`` then returns.  Components come back ordered by their
+    smallest flat index, so the result is deterministic.  Requires an even
+    grid height.
     """
-    flat = grid.cells.ravel()
-    seeds = np.flatnonzero(flat)
-    if len(seeds) == 0:
-        return []
     h, w = grid.shape
-    table = neighbor_table(h, w)
-    visited = np.zeros(h * w, dtype=bool)
-    comps = []
-    for seed in seeds:
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        frontier = np.array([seed])
-        layers = [frontier]
-        while len(frontier):
-            around = np.unique(table[frontier, 1:])
-            fresh = around[(flat[around] != 0) & ~visited[around]]
-            visited[fresh] = True
-            frontier = fresh
-            if len(fresh):
-                layers.append(fresh)
-        cells = np.sort(np.concatenate(layers))
-        comps.append(
-            Component(
-                cells=cells,
-                states=flat[cells].copy(),
-                dilated=np.unique(table[cells]),
-            )
-        )
-    return comps
+    frame = _scan(grid)
+    shapes, anchors = _shapes(frame.cells, frame.states, frame.bounds, h, w)
+    return [_component(frame, k, (h, w, shapes[k], anchors[k])) for k in range(len(frame))]
 
 
 # -- canonical shapes --------------------------------------------------------
 
 
-def _unwrap(comp: Component, h: int, w: int) -> dict[int, tuple[int, int]]:
-    """Assign torus-free (row, col) coordinates to a component's cells.
+def _unwrap(cells: np.ndarray, h: int, w: int) -> dict[int, tuple[int, int]]:
+    """Torus-free (row, col) coordinates for a component that may wrap around.
 
-    BFS from the smallest cell, stepping by the raw neighbour offsets, so a
-    pattern straddling the wrap seam gets coherent coordinates.  Components
-    that wrap all the way around the torus get spanning-tree coordinates --
-    arbitrary but deterministic, which is all their (unclassifiable) tracks
-    need.  Assumes even ``h``; odd heights put wrapped rows on the wrong
-    parity.
+    BFS from the smallest cell, stepping by the raw neighbour offsets.  Only
+    components occupying every row or every column come here (``_lift``
+    shifts every other one off the seams); one that wraps all the way around
+    the torus gets spanning-tree coordinates -- arbitrary but deterministic,
+    which is all their (unclassifiable) tracks need.  Assumes even ``h``; odd
+    heights put wrapped rows on the wrong parity.
     """
-    member = set(int(c) for c in comp.cells)
-    start = int(comp.cells[0])
+    member = set(cells.tolist())
+    start = int(cells[0])
     coords = {start: (start // w, start % w)}
     queue = [start]
     while queue:
@@ -131,6 +219,69 @@ def _unwrap(comp: Component, h: int, w: int) -> dict[int, tuple[int, int]]:
     return coords
 
 
+def _lift(cells: np.ndarray, comp: np.ndarray, bounds: np.ndarray, h: int, w: int):
+    """Torus-free (row, col) coordinates of every component's cells.
+
+    A component can only use a seam edge if it touches both row 0 and row
+    h-1, or both column 0 and column w-1.  Such a component is shifted by an
+    even number of rows (keeping row parity) and any number of columns so
+    that its first empty row lands on row 0 or h-1 and its first empty
+    column on column 0; a component occupying every row or every column is
+    lifted by ``_unwrap`` instead.  Every other component keeps its torus
+    coordinates.  Lifts of one component differ only by a translation, which
+    the canonical shape and anchor ignore.
+    """
+    rows, cols = np.divmod(cells, w)
+    starts = bounds[:-1]
+    # cells are sorted, so a run's first and last cells hold its row extremes
+    touches = ((rows[starts] == 0) & (rows[bounds[1:] - 1] == h - 1)) | (
+        (np.minimum.reduceat(cols, starts) == 0) & (np.maximum.reduceat(cols, starts) == w - 1)
+    )
+    if not touches.any():
+        return rows, cols
+    moved = touches[comp]
+    slot = (np.cumsum(touches) - 1)[comp[moved]]  # row of each moved cell's component
+    row_occ = np.zeros((int(touches.sum()), h), dtype=bool)
+    row_occ[slot, rows[moved]] = True
+    col_occ = np.zeros((len(row_occ), w), dtype=bool)
+    col_occ[slot, cols[moved]] = True
+    empty_row = row_occ.argmin(axis=1)
+    row_shift = np.where(empty_row & 1, h - 1 - empty_row, -empty_row)
+    rows[moved] = (rows[moved] + row_shift[slot]) % h
+    cols[moved] = (cols[moved] - col_occ.argmin(axis=1)[slot]) % w
+    spanning = np.flatnonzero(touches)[row_occ.all(axis=1) | col_occ.all(axis=1)]
+    for c in spanning.tolist():
+        lo, hi = bounds[c], bounds[c + 1]
+        coords = _unwrap(cells[lo:hi], h, w)
+        rows[lo:hi], cols[lo:hi] = np.array([coords[x] for x in cells[lo:hi].tolist()]).T
+    return rows, cols
+
+
+def _shapes(
+    cells: np.ndarray, states: np.ndarray, bounds: np.ndarray, h: int, w: int
+) -> tuple[list[tuple], list[int]]:
+    """Canonical shape and anchor of every component (see ``canonical_shape``).
+
+    Components are runs ``cells[bounds[k]:bounds[k + 1]]``, each sorted.
+    """
+    if not len(cells):
+        return [], []
+    starts = bounds[:-1]
+    comp = np.repeat(np.arange(len(starts)), np.diff(bounds))
+    rows, cols = _lift(cells, comp, bounds, h, w)
+    q = cols - (rows - (rows & 1)) // 2
+    # one sort over (component, row, axial column); the triples are distinct,
+    # so a packed key sorts like np.lexsort, which is far slower here
+    rows, q = rows - rows.min(), q - q.min()
+    order = np.argsort((comp * (rows.max() + 1) + rows) * (q.max() + 1) + q)
+    origin = order[starts]
+    dr = (rows[order] - rows[origin][comp]).tolist()
+    dq = (q[order] - q[origin][comp]).tolist()
+    triples = list(zip(dr, dq, states[order].tolist()))
+    shapes = [tuple(triples[lo:hi]) for lo, hi in zip(starts.tolist(), bounds[1:].tolist())]
+    return shapes, cells[origin].tolist()
+
+
 def canonical_shape(comp: Component, h: int, w: int) -> tuple[tuple, int]:
     """Translation-invariant shape of a component, plus its anchor cell.
 
@@ -142,18 +293,13 @@ def canonical_shape(comp: Component, h: int, w: int) -> tuple[tuple, int]:
     Returns ``(shape, anchor)``: the shape as a sorted tuple of
     ``(row, axial_col, state)`` triples, and the flat torus index of the cell
     that became the origin, which is what displacement tracking follows.
+    Requires an even grid height.
     """
-    coords = _unwrap(comp, h, w)
-    state_of = dict(zip((int(c) for c in comp.cells), (int(s) for s in comp.states)))
-    axial = {}
-    for cell, (ur, uc) in coords.items():
-        axial[cell] = (ur, uc - (ur - (ur & 1)) // 2)
-    origin_cell = min(axial, key=lambda cell: axial[cell])
-    r0, q0 = axial[origin_cell]
-    shape = tuple(
-        sorted((r - r0, q - q0, state_of[cell]) for cell, (r, q) in axial.items())
-    )
-    return shape, origin_cell
+    _require_even_height(h)
+    if comp.canonical is not None and comp.canonical[:2] == (h, w):
+        return comp.canonical[2], comp.canonical[3]
+    shapes, anchors = _shapes(comp.cells, comp.states, np.array([0, comp.size]), h, w)
+    return shapes[0], anchors[0]
 
 
 def _axial_delta(a0: int, a1: int, h: int, w: int) -> tuple[int, int]:
@@ -259,28 +405,27 @@ def classify(loc: Localization) -> str:
 class _Track:
     """Mutable tracking state while scanning frames; becomes a Localization."""
 
-    __slots__ = ("loc", "comps", "alive", "anchor_cell", "last_two_frames")
+    __slots__ = ("loc", "places", "anchor_cell", "last_two_frames")
 
     def __init__(self, first_frame: int, p_max: int):
         self.loc = Localization(first_frame=first_frame, p_max=p_max)
-        self.comps: list[Component] = []
-        self.alive = True
+        self.places: list[tuple[_Frame, int]] = []  # (frame, component index)
         self.anchor_cell = -1  # flat torus index of the current anchor
         self.last_two_frames: list = []
 
-    def append(self, comp: Component, shape, anchor_axial, anchor_cell: int) -> None:
+    def append(self, frame: _Frame, k: int, shape, anchor_axial, anchor_cell: int) -> None:
         self.loc.shapes.append(shape)
         self.loc.anchors.append(anchor_axial)
-        self.comps.append(comp)
+        self.places.append((frame, k))
         self.anchor_cell = anchor_cell
 
     def finish(self, reason: str | None) -> None:
-        self.alive = False
         self.loc.terminated = reason
-        last = self.comps[-1]
+        last = _component(*self.places[-1])
         self.loc.cells_last = last.cells
         self.loc.states_last = last.states
         self._measure_trail()
+        self.places = []  # let go of the frames' arrays
 
     def _measure_trail(self) -> None:
         """Persistent non-S debris inside the corridor this track swept.
@@ -290,12 +435,12 @@ class _Track:
         from the current head) in each of the last two frames; shapes that
         merely flicker during the head's passage do not count.
         """
-        if len(self.comps) < 3 or len(self.last_two_frames) < 2:
+        if len(self.places) < 3 or len(self.last_two_frames) < 2:
             return
-        corridor = np.unique(np.concatenate([c.dilated for c in self.comps[:-1]]))
+        corridor = np.concatenate([_component(*p).dilated for p in self.places[:-1]])
         hits = []
-        for comp, frame_cells in zip(self.comps[-2:], self.last_two_frames):
-            near_head = np.isin(frame_cells, comp.dilated)
+        for place, frame_cells in zip(self.places[-2:], self.last_two_frames):
+            near_head = np.isin(frame_cells, _component(*place).dilated)
             in_corridor = np.isin(frame_cells, corridor)
             hits.append(frame_cells[in_corridor & ~near_head])
         if len(hits[0]) and len(hits[1]):
@@ -317,68 +462,57 @@ def track(tr: Trajectory, window: int | None = None, p_max: int = 12) -> list[Lo
 
     Returns one classified Localization per track.
     """
+    if window is not None and window < 1:
+        raise ValueError("window must be >= 1")
     frames = tr.frames if window is None else tr.frames[-window:]
     h, w = frames[0].shape
-    if h % 2:
-        raise ValueError("tracking requires an even grid height (torus parity)")
+    _require_even_height(h)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     t_offset = tr.t0 + (len(tr.frames) - len(frames))
 
-    def frame_info(g: Grid):
-        comps = extract_components(g)
-        shapes = [canonical_shape(c, h, w) for c in comps]
-        labels = np.full(h * w, -1, dtype=np.int64)
-        for idx, comp in enumerate(comps):
-            labels[comp.cells] = idx
-        return comps, shapes, labels
-
     done: list[_Track] = []
-    nonzero_cells = [np.flatnonzero(g.cells.ravel()) for g in frames]
+    frame_cells: list[np.ndarray] = []  # each scanned frame's non-S cells
 
     def finish(trk: _Track, reason: str | None, at: int) -> None:
-        trk.last_two_frames = nonzero_cells[max(0, at - 1) : at + 1]
+        trk.last_two_frames = frame_cells[max(0, at - 1) : at + 1]
         trk.finish(reason)
         done.append(trk)
 
     tracks: dict[int, _Track] = {}
-    for t in range(len(frames)):
-        comps_t, shapes_t, labels_t = frame_info(frames[t])
-        claims: dict[int, list[int]] = {}
-        succs: dict[int, list[int]] = {}
-        for prev_idx, trk in tracks.items():
-            cand = np.unique(labels_t[trk.comps[-1].dilated])
-            cand = [int(i) for i in cand if i >= 0]
-            succs[prev_idx] = cand
-            for i in cand:
-                claims.setdefault(i, []).append(prev_idx)
+    prev = None
+    for t, grid in enumerate(frames):
+        frame = _scan(grid)
+        shapes, anchors = _shapes(frame.cells, frame.states, frame.bounds, h, w)
+        frame_cells.append(frame.cells)
+        if tracks:
+            nsucc, succ, nclaim = _links(prev, frame, list(tracks))
 
         next_tracks: dict[int, _Track] = {}
         for prev_idx, trk in tracks.items():
-            cand = succs[prev_idx]
-            if not cand:
+            if nsucc[prev_idx] == 0:
                 finish(trk, None, t - 1)  # died out; still classifiable
-            elif len(cand) > 1:
+            elif nsucc[prev_idx] > 1:
                 finish(trk, "split", t - 1)
-            elif len(claims[cand[0]]) > 1:
+            elif nclaim[succ[prev_idx]] > 1:
                 finish(trk, "merge", t - 1)
             else:
-                idx = cand[0]
-                shape, anchor_cell = shapes_t[idx]
-                dr, dq = _axial_delta(trk.anchor_cell, anchor_cell, h, w)
+                idx = succ[prev_idx]
+                dr, dq = _axial_delta(trk.anchor_cell, anchors[idx], h, w)
                 ar, aq = trk.loc.anchors[-1]
-                trk.append(comps_t[idx], shape, (ar + dr, aq + dq), anchor_cell)
+                trk.append(frame, idx, shapes[idx], (ar + dr, aq + dq), anchors[idx])
                 next_tracks[idx] = trk
 
-        for idx, comp in enumerate(comps_t):
+        for idx in range(len(frame)):
             if idx not in next_tracks:
                 fresh = _Track(t_offset + t, p_max)
-                fresh.append(comp, shapes_t[idx][0], (0, 0), shapes_t[idx][1])
+                fresh.append(frame, idx, shapes[idx], (0, 0), anchors[idx])
                 next_tracks[idx] = fresh
 
+        for idx in _clashes(frame, list(next_tracks)):
+            finish(next_tracks.pop(idx), "proximity", t)
         tracks = next_tracks
-        _check_proximity(tracks, lambda trk: finish(trk, "proximity", t))
-        tracks = {i: trk for i, trk in tracks.items() if trk.alive}
+        prev = frame
 
     for trk in tracks.values():
         finish(trk, None, len(frames) - 1)
@@ -390,31 +524,52 @@ def track(tr: Trajectory, window: int | None = None, p_max: int = 12) -> list[Lo
     return locs
 
 
-def _check_proximity(tracks: dict, kill) -> None:
-    """Terminate tracks whose components come within two cells of each other.
+def _links(prev: _Frame, frame: _Frame, tracked: list[int]) -> tuple[list, list, list]:
+    """Which components of ``frame`` the ``tracked`` components of ``prev`` reach.
+
+    A successor of a previous component is any component its dilation
+    touches.  Returns, per previous component, the number of successors and
+    (meaningful when that is one) the successor, and per component of
+    ``frame`` the number of tracked predecessors claiming it.
+    """
+    succ = frame.labels[prev.dilated]
+    live = np.zeros(len(prev), dtype=bool)
+    live[tracked] = True
+    keep = (succ >= 0) & live[prev.dil_comp]
+    n = max(len(frame), 1)
+    pairs = _unique(prev.dil_comp[keep] * n + succ[keep])
+    p, s = np.divmod(pairs, n)
+    first = np.zeros(len(prev), dtype=np.int64)
+    first[p] = s
+    return (
+        np.bincount(p, minlength=len(prev)).tolist(),
+        first.tolist(),
+        np.bincount(s, minlength=len(frame)).tolist(),
+    )
+
+
+def _clashes(frame: _Frame, order: list[int]) -> set[int]:
+    """Components within two cells of another: their dilations intersect.
 
     Two components on the same frame always sit at least two cells apart
     (closer and they would be one component); their dilations intersect
     exactly when the gap is two or less, i.e. when they can influence each
-    other's next step.
+    other's next step.  The dilations are scanned in ``order`` (the tracks'
+    order) and each cell already owned by an earlier component adds that
+    owner and then the current component to the set; the set's iteration
+    order, which orders the proximity kills, depends on that insertion order.
     """
-    if len(tracks) < 2:
-        return
-    owner: dict[int, int] = {}
-    clashing: set[int] = set()
-    for idx, trk in tracks.items():
-        if not trk.alive:
-            continue
-        for cell in trk.comps[-1].dilated:
-            cell = int(cell)
-            if cell in owner and owner[cell] != idx:
-                clashing.add(owner[cell])
-                clashing.add(idx)
-            else:
-                owner[cell] = idx
-    for idx in clashing:
-        if tracks[idx].alive:
-            kill(tracks[idx])
+    keys = np.asarray(order, dtype=np.int64)
+    starts = frame.dil_bounds[keys]
+    lens = frame.dil_bounds[keys + 1] - starts
+    owner = np.repeat(keys, lens)
+    at = np.arange(len(owner))
+    cells = frame.dilated[at + np.repeat(starts - (np.cumsum(lens) - lens), lens)]
+    first = np.full(len(frame.labels), len(at))
+    np.minimum.at(first, cells, at)  # each cell's first position in the scan
+    first_at = first[cells]
+    dup = first_at != at
+    return set(np.stack([owner[first_at[dup]], owner[dup]], axis=1).ravel().tolist())
 
 
 # -- fitness -------------------------------------------------------------------
@@ -449,10 +604,16 @@ class FitnessConfig:
             raise ValueError("trials must be >= 1")
         if self.patch_width > self.width or self.patch_height > self.height:
             raise ValueError("patch must fit inside the grid")
-        if not 0 <= self.p_a + self.p_b <= 1:
+        if self.p_a < 0 or self.p_b < 0:
+            raise ValueError("state probabilities must be non-negative")
+        if self.p_a + self.p_b > 1:
             raise ValueError("state probabilities must sum to at most 1")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
         if self.window > self.steps + 1:
             raise ValueError("window longer than the run")
+        if self.p_max < 1:
+            raise ValueError("p_max must be >= 1")
 
 
 def random_patch_grid(cfg: FitnessConfig, rng: np.random.Generator) -> Grid:

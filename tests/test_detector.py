@@ -1,8 +1,11 @@
 """Localization tracking oracles: hand-built trajectories with known answers."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from hexreact.analysis import bundled_glider_rule, bundled_glider_seed
 from hexreact.detector import (
     GLIDER,
     OSCILLATOR,
@@ -20,9 +23,9 @@ from hexreact.detector import (
     report_rows,
     track,
 )
-from hexreact.engine import Trajectory
+from hexreact.engine import Trajectory, run
 from hexreact.hexgrid import CellState, Grid, neighborhood
-from hexreact.rules import RuleMatrix, random_rule
+from hexreact.rules import PAIRS, RuleMatrix, random_rule
 
 
 def grid_with(h, w, cells):
@@ -86,6 +89,16 @@ def test_components_partition_the_nonquiescent_cells():
                             nxt.add(flat)
                 frontier = nxt
             assert reached == member
+
+
+def test_front_end_rejects_an_odd_height():
+    # on odd heights the neighbour table is not symmetric, so "connected"
+    # would depend on which way the adjacency is read
+    with pytest.raises(ValueError, match="even grid height"):
+        extract_components(grid_with(5, 6, {(0, 0): 1, (4, 5): 1}))
+    comp = extract_components(grid_with(6, 6, {(2, 2): 1}))[0]
+    with pytest.raises(ValueError, match="even grid height"):
+        canonical_shape(comp, 5, 6)
 
 
 def test_distinct_components_are_never_adjacent():
@@ -298,6 +311,13 @@ def test_track_windows_the_trailing_frames():
     assert locs[0].first_frame == 105
 
 
+def test_track_rejects_a_nonpositive_window():
+    frames = [grid_with(12, 12, TRIPLE) for _ in range(11)]
+    for window in (0, -3):
+        with pytest.raises(ValueError, match="window"):
+            track(make_trajectory(frames), window=window)
+
+
 def test_classify_requires_two_full_periods():
     frames = east_glider_frames(12, 24, row=5, col0=4, steps=3)
     locs = track(make_trajectory(frames))
@@ -369,3 +389,57 @@ def test_fitness_config_validation():
         FitnessConfig(height=63, patch_height=15)
     with pytest.raises(ValueError, match="trials"):
         FitnessConfig(trials=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        FitnessConfig(p_a=-0.1, p_b=0.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        FitnessConfig(p_a=0.5, p_b=-0.1)
+    with pytest.raises(ValueError, match="window"):
+        FitnessConfig(window=0)
+    with pytest.raises(ValueError, match="p_max"):
+        FitnessConfig(p_max=0)
+
+
+# -- metamorphic: classes do not depend on placement or on the A/B labels ------------
+
+
+def _census(tr):
+    return Counter((l.loc_class, l.period, l.displacement) for l in track(tr))
+
+
+def _swap_ab(cells):
+    return np.array([0, 2, 1], dtype=np.uint8)[cells]
+
+
+def _conjugate(rule):
+    """The rule that runs A<->B-swapped grids: M'[i, j] = swap(M[j, i])."""
+    return RuleMatrix.from_entries(
+        {(i, j): int(_swap_ab(rule.table[j, i])) for i, j in PAIRS}
+    )
+
+
+METAMORPHIC_SEEDS = {
+    "soup-0": lambda: random_patch_grid(FitnessConfig(), np.random.default_rng(0)),
+    "soup-1": lambda: random_patch_grid(FitnessConfig(), np.random.default_rng(1)),
+    "lone-glider": bundled_glider_seed,
+}
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_SEEDS))
+def test_census_is_invariant_under_translation(name):
+    rule = bundled_glider_rule()
+    grid = METAMORPHIC_SEEDS[name]()
+    base = _census(run(grid, rule, 200, keep_last=48))
+    if name == "lone-glider":
+        assert base == Counter({(GLIDER, 2, (2, -2)): 1})
+    for dr, dc in [(10, 23), (32, 7), (-6, 1)]:
+        assert _census(run(grid.translate(dr, dc), rule, 200, keep_last=48)) == base
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_SEEDS))
+def test_census_is_invariant_under_the_ab_swap(name):
+    rule = bundled_glider_rule()
+    grid = METAMORPHIC_SEEDS[name]()
+    base = _census(run(grid, rule, 200, keep_last=48))
+    tr = run(Grid(_swap_ab(grid.cells)), _conjugate(rule), 200, keep_last=48)
+    assert np.array_equal(tr[-1].cells, _swap_ab(run(grid, rule, 200)[-1].cells))
+    assert _census(tr) == base
