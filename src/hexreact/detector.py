@@ -14,17 +14,19 @@ placement-independent, and displacements come out as exact integer vectors
 ``(dr, dc)`` where ``dc`` counts axial columns.
 
 Each frame goes through one array pass (``_scan`` and ``_shapes``): component
-labels by hooking over the neighbour table, every component's cells, states
-and one-ring dilation from one ``np.unique``, and every canonical shape from
-one ``lexsort``.  Shapes need coordinates free of the torus wrap.  A
+labels by root hooking over the neighbour table, every component's sorted
+cells, states and one-ring dilation from sorts of (component, cell) keys,
+and every canonical shape and anchor from one sort of (component, row,
+axial column) keys.  Shapes need coordinates free of the torus wrap.  A
 component that does not touch both row 0 and row h-1, nor both column 0 and
 column w-1, cannot use a seam edge, so its torus coordinates serve as they
-are; a component that does is first shifted by an even number of rows and
-any number of columns until one of its empty rows and columns lies on the
-seam.  Only a component that occupies every row or every column, and so may
-wrap around the torus, is lifted by the BFS of ``_unwrap``.  ``track`` then
-links and checks proximity frame to frame with array operations over the
-same pass; ``extract_components`` and ``canonical_shape`` are views of it.
+are; one that does is first shifted by an even number of rows and any
+number of columns so that an empty row and an empty column of it lie on
+the seams.  Only a component that occupies every row or every column, and
+so may wrap around the torus, is lifted by the BFS of ``_unwrap``.
+``track`` links and checks proximity frame to frame with array operations
+over the same pass; ``extract_components`` and ``canonical_shape`` are
+views of it.
 
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
@@ -240,7 +242,7 @@ def _lift(cells: np.ndarray, comp: np.ndarray, bounds: np.ndarray, h: int, w: in
     if not touches.any():
         return rows, cols
     moved = touches[comp]
-    slot = (np.cumsum(touches) - 1)[comp[moved]]  # row of each moved cell's component
+    slot = (np.cumsum(touches) - 1)[comp[moved]]  # moved components, renumbered from 0
     row_occ = np.zeros((int(touches.sum()), h), dtype=bool)
     row_occ[slot, rows[moved]] = True
     col_occ = np.zeros((len(row_occ), w), dtype=bool)
