@@ -25,8 +25,8 @@ number of columns so that an empty row and an empty column of it lie on
 the seams.  Only a component that occupies every row or every column, and
 so may wrap around the torus, is lifted by the BFS of ``_unwrap``.
 ``track`` links and checks proximity frame to frame with array operations
-over the same pass; ``extract_components`` and ``canonical_shape`` are
-views of it.
+over the same pass.  ``extract_components`` returns ``_scan``'s components,
+and ``canonical_shape`` runs ``_shapes`` on one of them.
 
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
@@ -70,14 +70,11 @@ class Component:
     ``cells`` holds sorted flat indices (row * width + col); ``states`` is
     aligned with it.  ``dilated`` additionally includes the one-cell ring
     around the component, which is what linking and proximity tests need.
-    ``canonical`` is ``(h, w, shape, anchor)`` when the frame pass that found
-    the component also computed its canonical shape on an ``h`` x ``w`` torus.
     """
 
     cells: np.ndarray
     states: np.ndarray
     dilated: np.ndarray
-    canonical: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -100,14 +97,13 @@ class _Frame:
         return len(self.bounds) - 1
 
 
-def _component(frame: _Frame, k: int, canonical: tuple | None = None) -> Component:
+def _component(frame: _Frame, k: int) -> Component:
     """Component ``k`` of ``frame``, as views into the frame's arrays."""
     lo, hi = frame.bounds[k], frame.bounds[k + 1]
     return Component(
         cells=frame.cells[lo:hi],
         states=frame.states[lo:hi],
         dilated=frame.dilated[frame.dil_bounds[k] : frame.dil_bounds[k + 1]],
-        canonical=canonical,
     )
 
 
@@ -179,15 +175,12 @@ def extract_components(grid: Grid) -> list[Component]:
     """Partition the non-S cells of ``grid`` into connected components.
 
     6-neighbour adjacency on the torus, labelled for the whole frame at once
-    by ``_scan``; the same pass computes every canonical shape, which
-    ``canonical_shape`` then returns.  Components come back ordered by their
-    smallest flat index, so the result is deterministic.  Requires an even
-    grid height.
+    by ``_scan``, the pass ``track`` runs.  Components come back ordered by
+    their smallest flat index, so the result is deterministic.  Requires an
+    even grid height.
     """
-    h, w = grid.shape
     frame = _scan(grid)
-    shapes, anchors = _shapes(frame.cells, frame.states, frame.bounds, h, w)
-    return [_component(frame, k, (h, w, shapes[k], anchors[k])) for k in range(len(frame))]
+    return [_component(frame, k) for k in range(len(frame))]
 
 
 # -- canonical shapes --------------------------------------------------------
@@ -298,8 +291,6 @@ def canonical_shape(comp: Component, h: int, w: int) -> tuple[tuple, int]:
     Requires an even grid height.
     """
     _require_even_height(h)
-    if comp.canonical is not None and comp.canonical[:2] == (h, w):
-        return comp.canonical[2], comp.canonical[3]
     shapes, anchors = _shapes(comp.cells, comp.states, np.array([0, comp.size]), h, w)
     return shapes[0], anchors[0]
 
