@@ -111,6 +111,29 @@ def test_run_keep_last_matches_independent_composition():
     assert window[-1] == expected
 
 
+def test_run_matches_iterated_reference_stepper():
+    # run's frames and t0 against step_reference iterated by hand, on odd
+    # and even sizes, including odd heights, for every kind of keep_last
+    rng = np.random.default_rng(61)
+    for _ in range(24):
+        h, w = (int(v) for v in rng.integers(3, 14, size=2))
+        g = random_grid(rng, h, w)
+        rule = random_rule(rng)
+        steps = int(rng.integers(0, 61))
+        expected = [g]
+        for _ in range(steps):
+            expected.append(step_reference(expected[-1], rule))
+        for keep_last in (None, 1, steps // 2 + 1, steps + 2 + int(rng.integers(0, 5))):
+            tr = run(g, rule, steps, keep_last=keep_last)
+            kept = expected if keep_last is None else expected[-keep_last:]
+            assert tr.t0 == steps + 1 - len(kept), (h, w, steps, keep_last)
+            assert tr.frames == kept, (h, w, steps, keep_last)
+            arrays = [g.cells] + [f.cells for f in tr.frames]
+            for a in range(len(arrays)):
+                for b in range(a + 1, len(arrays)):
+                    assert not np.shares_memory(arrays[a], arrays[b])
+
+
 def test_trajectory_needs_frames():
     with pytest.raises(ValueError):
         Trajectory([])
