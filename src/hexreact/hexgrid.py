@@ -66,16 +66,20 @@ class Grid:
     __slots__ = ("cells",)
 
     def __init__(self, cells: np.ndarray):
-        cells = np.asarray(cells, dtype=np.uint8)
+        cells = np.asarray(cells)
         if cells.ndim != 2:
             raise ValueError("grid array must be 2-D")
         if min(cells.shape) < 3:
             # Below 3 cells per axis the 7-cell neighbourhood would contain
             # duplicate coordinates, which breaks the counting semantics.
             raise ValueError("grid dimensions must be at least 3x3")
-        if cells.max() > 2:
+        # Values are checked before the uint8 cast, which would wrap 258 to
+        # 2 and truncate 1.7 to 1; a uint8 array costs one max() and no copy.
+        if cells.dtype.kind not in "biu":
+            raise ValueError(f"cell values must be integers, got dtype {cells.dtype}")
+        if cells.max() > 2 or (cells.dtype.kind == "i" and cells.min() < 0):
             raise ValueError("cell values must be 0 (S), 1 (A) or 2 (B)")
-        self.cells = cells
+        self.cells = cells.astype(np.uint8, copy=False)
 
     # -- construction ------------------------------------------------------
 

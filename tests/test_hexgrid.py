@@ -138,6 +138,25 @@ def test_grid_rejects_bad_input():
         Grid(np.full((4, 4), 3, dtype=np.uint8))  # no such state
     with pytest.raises(ValueError):
         Grid(np.zeros(16, dtype=np.uint8))  # not 2-D
+    # values are checked before the uint8 cast, which would wrap or truncate
+    for bad in (
+        np.full((4, 4), 258),  # wraps to 2 (B)
+        np.full((4, 4), -1),  # wraps to 255
+        np.full((4, 4), 1.7),  # truncates to 1 (A)
+        np.full((4, 4), np.nan),  # casts to 0 (S) with a RuntimeWarning
+        np.ones((4, 4)),  # a float dtype, even with state values
+    ):
+        with pytest.raises(ValueError, match="cell values"):
+            Grid(bad)
+
+
+def test_grid_takes_integer_and_bool_arrays():
+    cells = np.zeros((4, 4), dtype=np.uint8)
+    assert Grid(cells).cells is cells  # uint8 input is used as is, not copied
+    g = Grid(np.eye(4, dtype=bool))
+    assert g.cells.dtype == np.uint8
+    assert g.counts() == (12, 4, 0)
+    assert Grid(np.full((3, 5), 2, dtype=np.int64)).counts() == (0, 0, 15)
 
 
 def test_text_round_trip_is_exact():
