@@ -37,7 +37,7 @@ from .detector import (
     soup_localizations,
     track,
 )
-from .engine import Trajectory, _neighbour_sums, run
+from .engine import Trajectory, run, signature_index
 from .hexgrid import Grid, axial_to_offset
 from .rules import GENOME_ALPHABET, PAIR_INDEX, PAIRS, RuleMatrix
 
@@ -161,9 +161,8 @@ def necessary_transitions(
         rows, cols = np.divmod(comps[0].cells, w)
         if rows.min() == 0 or rows.max() == h - 1 or cols.min() == 0 or cols.max() == w - 1:
             raise ValueError(f"frame {t}: pattern touches the wrap seam")
-        ia, ib = _neighbour_sums(grid.cells)
-        for key in np.unique(ia * 8 + ib):
-            seen.add((int(key) // 8, int(key) % 8))
+        for key in np.unique(signature_index(grid)):
+            seen.add((int(key) % 8, int(key) // 8))
     return seen
 
 

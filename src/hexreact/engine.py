@@ -2,9 +2,12 @@
 
 Two independent implementations of the update step live here on purpose:
 
-* :func:`step` gathers neighbour counts with vectorised ``np.roll`` shifts
-  and maps them through the rule's 8x8 lookup table.  This is the production
-  path.
+* :func:`run` advances a grid with a packed kernel, and :func:`step` is its
+  one-step case.  This is the production path.  States S, A, B are packed
+  as 0, 1, 8, so the sum of a cell's seven neighbourhood values is
+  ``i + 8j`` for ``i`` A cells and ``j`` B cells; that byte indexes a
+  64-entry copy of the rule's lookup table.  The grid lives in a buffer with
+  a one-cell wrap border, so every neighbour is a plain slice.
 * :func:`step_reference` walks the cells one by one, recounting each
   neighbourhood from scratch.  It is deliberately written with none of the
   vectorised machinery so the two can check each other.
@@ -16,41 +19,57 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hexgrid import CellState, Grid
+from .hexgrid import Grid
 from .rules import RuleMatrix
 
+#: Packed value of S, A and B: seven of them sum to ``i + 8j`` < 64.
+_PACK = np.array([0, 1, 8], dtype=np.uint8)
 
-def _neighbour_sums(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell A and B counts over the 7-cell neighbourhood.
 
-    Four of the six neighbour offsets are shared by even and odd rows
-    (east, west, and the two cells straight above/below in the array); the
-    remaining two diagonals depend on row parity, so those are gathered for
-    both parities and selected per row.
+def _packed(grid: Grid) -> np.ndarray:
+    """``grid`` packed into an ``(h + 2, w + 2)`` buffer with a wrap border."""
+    h, w = grid.shape
+    pad = np.empty((h + 2, w + 2), dtype=np.uint8)
+    pad[1:-1, 1:-1] = _PACK[grid.cells]
+    return pad
+
+
+def _signatures(pad: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Refresh the wrap border of ``pad``, then write every cell's ``i + 8j``.
+
+    The border rows are copied first and the border columns, over the full
+    height, second, so the corners come out right.  On even rows the two
+    diagonal neighbours sit at column ``c - 1`` of rows ``r - 1`` and
+    ``r + 1``; on odd rows at column ``c + 1``.
     """
-    h = cells.shape[0]
-    odd_row = (np.arange(h) & 1).astype(bool)[:, None]
+    pad[0, 1:-1] = pad[-2, 1:-1]
+    pad[-1, 1:-1] = pad[1, 1:-1]
+    pad[:, 0] = pad[:, -2]
+    pad[:, -1] = pad[:, 1]
+    up, row, down = pad[:-2], pad[1:-1], pad[2:]
+    np.add(row[:, 1:-1], row[:, 2:], out=out)  # centre, east
+    out += row[:, :-2]  # west
+    out += up[:, 1:-1]
+    out += down[:, 1:-1]
+    out[0::2] += up[0::2, :-2]
+    out[0::2] += down[0::2, :-2]
+    out[1::2] += up[1::2, 2:]
+    out[1::2] += down[1::2, 2:]
+    return out
 
-    sums = []
-    for state in (CellState.A, CellState.B):
-        x = (cells == state).view(np.uint8)
-        common = (
-            x
-            + np.roll(x, -1, axis=1)  # east
-            + np.roll(x, 1, axis=1)   # west
-            + np.roll(x, -1, axis=0)  # row below (SE on even rows, SW on odd)
-            + np.roll(x, 1, axis=0)   # row above (NE on even rows, NW on odd)
-        )
-        west_diag = np.roll(x, (-1, 1), axis=(0, 1)) + np.roll(x, (1, 1), axis=(0, 1))
-        east_diag = np.roll(x, (-1, -1), axis=(0, 1)) + np.roll(x, (1, -1), axis=(0, 1))
-        sums.append(common + np.where(odd_row, east_diag, west_diag))
-    return sums[0], sums[1]
+
+def signature_index(grid: Grid) -> np.ndarray:
+    """Every cell's neighbourhood signature ``(i, j)`` as the byte ``i + 8j``.
+
+    ``i`` and ``j`` count the A and B cells of the 7-cell neighbourhood,
+    centre included; the result has the grid's shape.
+    """
+    return _signatures(_packed(grid), np.empty(grid.shape, dtype=np.uint8))
 
 
 def step(grid: Grid, rule: RuleMatrix) -> Grid:
     """One synchronous update of the whole torus."""
-    ia, ib = _neighbour_sums(grid.cells)
-    return Grid(rule.table[ia, ib])
+    return run(grid, rule, 1, keep_last=1).frames[0]
 
 
 def step_reference(grid: Grid, rule: RuleMatrix, rng: np.random.Generator | None = None) -> Grid:
@@ -132,6 +151,7 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
 
     Returns the initial state plus every subsequent state -- ``steps + 1``
     frames -- unless ``keep_last`` caps how many trailing frames are kept.
+    Frames before the kept window are never built.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -139,14 +159,18 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
     keep = total if keep_last is None else min(keep_last, total)
     if keep < 1:
         raise ValueError("keep_last must keep at least one frame")
-    frames: list[Grid] = [grid.copy()]
-    current = grid
-    for _ in range(steps):
-        current = step(current, rule)
-        frames.append(current)
-        if len(frames) > keep:
-            frames.pop(0)
-    return Trajectory(frames, t0=steps + 1 - len(frames))
+    t0 = total - keep
+    frames = [grid.copy()] if t0 == 0 else []
+    pad = _packed(grid)
+    index = np.empty(grid.shape, dtype=np.uint8)
+    table = rule.table.T.ravel()  # next state, indexed by i + 8j
+    packed_table = _PACK[table]
+    for t in range(1, total):
+        _signatures(pad, index)
+        if t >= t0:
+            frames.append(Grid(table[index]))
+        pad[1:-1, 1:-1] = packed_table[index]
+    return Trajectory(frames, t0=t0)
 
 
 # -- exports ----------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 
 from hexreact import analysis as an
 from hexreact.detector import GLIDER, FitnessConfig, track
-from hexreact.engine import Trajectory, run, step
-from hexreact.hexgrid import Grid
+from hexreact.engine import Trajectory, run, signature_index, step
+from hexreact.hexgrid import Grid, count_states
 from hexreact.rules import PAIRS, RuleMatrix
 
 # -- hand corpus ----------------------------------------------------------------
@@ -311,6 +311,14 @@ def test_necessary_transitions_of_bundled_glider():
     assert 1 < len(needed) < 36
     for i, j in needed:
         assert 0 <= i and 0 <= j and i + j <= 7
+    # the engine's i + 8j index against cell-by-cell hand counts
+    h, w = traj[0].shape
+    by_hand = set()
+    for t in range(locs[0].period):
+        counts = [[count_states(traj[t], (r, c)) for c in range(w)] for r in range(h)]
+        assert np.array_equal(signature_index(traj[t]), [[i + 8 * j for i, j in row] for row in counts])
+        by_hand.update(ij for row in counts for ij in row)
+    assert needed == by_hand
 
 
 def test_necessary_transitions_stable_across_period_phases():
