@@ -49,8 +49,8 @@ def _signatures(pad: np.ndarray, out: np.ndarray) -> np.ndarray:
     up, row, down = pad[:-2], pad[1:-1], pad[2:]
     np.add(row[:, 1:-1], row[:, 2:], out=out)  # centre, east
     out += row[:, :-2]  # west
-    out += up[:, 1:-1]
-    out += down[:, 1:-1]
+    out += up[:, 1:-1]  # straight above
+    out += down[:, 1:-1]  # straight below
     out[0::2] += up[0::2, :-2]
     out[0::2] += down[0::2, :-2]
     out[1::2] += up[1::2, 2:]
