@@ -1,5 +1,6 @@
 """Reaction scheme, propensities, and the exact stochastic simulator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -238,6 +239,90 @@ def test_csv_layout():
     t0 = lines[1].split(",")
     assert float(t0[0]) == 0.0
     assert [int(v) for v in t0[1:]] == [20, 20, 20]
+
+
+# -- golden trajectories -------------------------------------------------------------
+#
+# Each case runs ssa_run at a fixed seed; events, reason, t_end and the sha256 of
+# the little-endian times and counts arrays must match.  They pin the draws, the
+# propensity floats and the channel choice bit for bit.
+
+
+def _system(*lines):
+    return rc.ReactionSystem(rc.SPECIES, [rc.parse_reaction(ln) for ln in lines])
+
+
+SSA_CASES = {
+    "lattice": lambda: (rc.standard_system(), {"A": 300, "B": 300, "S": 300}, 20.0, 11,
+                        dict(sample_dt=0.5)),
+    "endpoints": lambda: (rc.standard_system(), {"A": 200, "B": 200, "S": 200}, 10.0, 12, {}),
+    "max_events": lambda: (rc.standard_system(), {"A": 1000, "B": 1000, "S": 1000}, 1e9, 13,
+                           dict(max_events=700)),
+    "zero_order": lambda: (_system("0 -> A @ 5", "A + S -> 2S @ 0.8", "A -> B @ 0.1"),
+                           {"S": 50}, 15.0, 14, dict(sample_dt=1.0, omega=40.0)),
+    "single_channel": lambda: (_system("A -> S @ 0.054"), {"A": 2000}, 10.0, 15,
+                               dict(sample_dt=1.0)),
+    # 101 A pair off until one A is left below the 2A stoichiometry
+    "below_stoichiometry": lambda: (_system("2A -> B @ 0.3", "B -> S @ 0.05"), {"A": 101},
+                                    200.0, 16, dict(sample_dt=10.0)),
+    "empty": lambda: (rc.ReactionSystem(rc.SPECIES, []), {"A": 5, "S": 7}, 3.0, 17,
+                      dict(sample_dt=1.0)),
+}
+
+SSA_GOLDEN = {
+    "lattice": (3011, "t_max", 20.0,
+                "8f515d27d3e9ed071442c37e47e4e2101bfabc784e7a1ec63faec2cabcd1c48c",
+                "06e9cf5b91091ef69367eba6522cd21bfaf456c27aa11f0137df24b839f684f8"),
+    "endpoints": (1178, "t_max", 10.0,
+                  "b49ee99e2a1947568c4cea8aa12a2433dd3f72229eace8e9e5f0b42d78aa90d6",
+                  "b8c20687eb6f2ab67e4c0a84691293813ab6af7cb4a0a773c67ba4b236ad7c67"),
+    "max_events": (700, "max_events", 0.916566850590725,
+                   "bba7df91025bdcf65154860257503883b2a8f1a59238630aa8c3e7b7532fac53",
+                   "7b5d28f73d84d5ae1b60ec8c8d8d089776f5ebd28b22e3007d7358becbde0239"),
+    "zero_order": (5992, "t_max", 15.0,
+                   "799eb99a60dd83c57bfe43c1eb5b9e5334fab0ebc120369dee40028729c0004c",
+                   "766311ad662467120154200e3c4d420db809cf6869bbb248cfb9a4368e2df401"),
+    "single_channel": (813, "t_max", 10.0,
+                       "3dbc2fdc66220c3b107b457314da5528f1a0814ec381aee2ae06d112766e415c",
+                       "f1d20b5ee7262da06567be3f94bcecf4f07435ca2dc3b1ef8342dcb7cd9a54ab"),
+    "below_stoichiometry": (100, "absorbed", 81.58676735912948,
+                            "fafba3725487076a10e932ac93f99fa8143643c45d08a4e7b85082af080926a1",
+                            "843db0e1ac28448820fdbd10d49b720b9a47c5eda3beba3bac2d3120ad116dc4"),
+    "empty": (0, "absorbed", 0.0,
+              "9392b85eaba90b4aa6f39e1f269927b4bd6bec47cd2e34a80cf3ed914c26dc7e",
+              "4d864d74765c3a8b8670b18b87fbe3268d3021c0c1288c4b8fbd3ff6bb6fe595"),
+}
+
+
+def _sha(arr, dtype) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
+
+
+def _golden_run(name):
+    system, init, t_max, seed, kw = SSA_CASES[name]()
+    return rc.ssa_run(system, init, t_max, np.random.default_rng(seed), **kw)
+
+
+@pytest.mark.parametrize("name", sorted(SSA_CASES))
+def test_golden_ssa_trajectories(name):
+    res = _golden_run(name)
+    got = (res.events, res.reason, res.t_end, _sha(res.times, "<f8"), _sha(res.counts, "<i8"))
+    assert got == SSA_GOLDEN[name]
+
+
+def test_permuting_species_permutes_count_columns():
+    base = rc.standard_system()
+    perm = ("S", "A", "B")
+    permuted = rc.ReactionSystem(perm, base.reactions)
+    init = {"A": 300, "B": 250, "S": 200}
+    for seed in (3, 4):
+        a = rc.ssa_run(base, init, 8.0, np.random.default_rng(seed), sample_dt=0.5)
+        b = rc.ssa_run(permuted, init, 8.0, np.random.default_rng(seed), sample_dt=0.5)
+        assert a.events == b.events > 0
+        assert (a.reason, a.t_end) == (b.reason, b.t_end)
+        assert np.array_equal(a.times, b.times)
+        cols = [base.species.index(sp) for sp in perm]
+        assert np.array_equal(a.counts[:, cols], b.counts)
 
 
 # -- feature counting ----------------------------------------------------------------
