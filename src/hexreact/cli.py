@@ -214,7 +214,7 @@ def cmd_react(args) -> int:
     else:
         system = reactor.standard_system()
     init = {"A": args.init_a, "B": args.init_b, "S": args.init_s}
-    outputs = []
+    outputs, fired = [], []
     for k in range(args.ensemble):
         res = reactor.ssa_run(
             system,
@@ -232,11 +232,14 @@ def cmd_react(args) -> int:
             path = f"{stem}.{k}{ext or '.csv'}"
         _write(path, res.to_csv())
         outputs.append(path)
+        fired.append(list(res.fired))
         print(
             f"run {k}: {res.events} events, reason={res.reason}, "
             f"final={res.final_counts()} -> {path}"
         )
-    _write_meta(args.out, args, outputs=outputs, omega_used=res.omega)
+    _write_meta(args.out, args, outputs=outputs, omega_used=res.omega,
+                reactions=[reactor.format_reaction(rx) for rx in system.reactions],
+                fired=fired)
     return 0
 
 

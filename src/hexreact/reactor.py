@@ -7,6 +7,22 @@ direct method: propensities use combinatorial counts C(n, nu) scaled by
 omega**(order-1), where omega is the reaction volume (by default the initial
 particle total, so concentrations start at counts/omega).
 
+``ssa_run`` writes its event loop afresh for each call: one Python function
+specialised to the system and omega (``_event_loop``).  The counts live in
+locals, each channel's propensity is an unrolled expression, the running
+sums are built in channel order and an if/elif chain on them picks the
+channel that fires, so an event walks no list and runs no inner loop.  The
+loop is exact, not an approximation of the direct method: every propensity
+multiplies the same folded coefficient (``_channel``) by the same falling
+factorials in the same order (``_law``), the two uniform draws of an event
+come from the same blocks in the same order, and ``not s_r < target`` picks
+the first channel whose running sum reaches the target, as a linear scan
+would.  Only integers -- species indices, stoichiometries and count changes
+-- are written into the generated source.  The float coefficients are
+passed in as values, so each one round-trips exactly, and no reaction or
+species name reaches ``exec``.  ``propensity`` evaluates the same ``_law``
+expression, so it returns the very rate the loop uses.
+
 Every reaction in the standard scheme conserves the particle total, which
 makes long runs cheap to validate: the sum S+A+B never moves.
 """
@@ -33,8 +49,8 @@ class Reaction:
     name: str = ""
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
         for side in (self.reactants, self.products):
             for sp, nu in side.items():
                 if nu <= 0 or nu != int(nu):
@@ -148,17 +164,52 @@ def standard_system() -> ReactionSystem:
     return parse_system(lines)
 
 
+def _channel(rx: Reaction, species: tuple, omega: float) -> tuple:
+    """The propensity law of one channel, as ``(coef, needs, moves)``.
+
+    ``coef`` folds the rate, the volume scaling and the ``1/nu!`` of each
+    ``C(n, nu)``.  ``needs`` lists ``(k, nu)`` per reactant in dict order, with
+    ``k`` indexing ``species``; ``moves`` lists the nonzero ``(k, delta)`` of
+    one firing.  ``_law`` turns ``coef`` and ``needs`` into the propensity.
+    """
+    index = {sp: k for k, sp in enumerate(species)}
+    coef = rx.rate / omega ** (rx.order - 1)
+    needs = []
+    for sp, nu in rx.reactants.items():
+        coef /= math.factorial(int(nu))
+        needs.append((index[sp], int(nu)))
+    moves = [(index[sp], int(d)) for sp, d in zip(species, rx.delta(species)) if d != 0]
+    return coef, needs, moves
+
+
+def _law(r: int, needs) -> str:
+    """Source of channel ``r``'s propensity over coefficient ``c{r}`` and counts ``n{k}``.
+
+    ``c * n * (n - 1) * ...``: the falling factorials multiplied onto the
+    coefficient left to right, reactants in dict order, guarded to 0.0 when a
+    count is below its stoichiometry.  Only integers enter the text.
+    """
+    expr = f"c{r}" + "".join(
+        f" * (n{k} - {d})" if d else f" * n{k}" for k, nu in needs for d in range(nu)
+    )
+    if not needs:
+        return expr
+    guard = " and ".join(f"n{k} >= {nu}" for k, nu in needs)
+    return f"({expr} if {guard} else 0.0)"
+
+
 def propensity(rx: Reaction, counts: dict, omega: float) -> float:
     """Event rate of one channel at the given counts.
 
     ``rate * prod_s C(n_s, nu_s) / omega**(order - 1)``: the combinatorial
     number of reactant tuples, volume-scaled so that doubling omega at fixed
-    concentration doubles total event rates of every order alike.
+    concentration doubles total event rates of every order alike.  The value
+    is bit-identical to the rate ``ssa_run`` uses for this channel.
     """
-    a = rx.rate / omega ** (rx.order - 1)
-    for sp, nu in rx.reactants.items():
-        a *= math.comb(counts.get(sp, 0), nu)
-    return a
+    species = tuple(rx.reactants)
+    coef, needs, _ = _channel(rx, species, omega)
+    n = {f"n{k}": int(counts.get(sp, 0)) for k, sp in enumerate(species)}
+    return eval(_law(0, needs), {"c0": coef}, n)
 
 
 @dataclass
@@ -172,6 +223,7 @@ class SSAResult:
     t_end: float
     reason: str  # "t_max" | "absorbed" | "max_events"
     omega: float
+    fired: tuple  # events per channel, in system.reactions order
 
     def series(self, name: str) -> np.ndarray:
         return self.counts[:, self.species.index(name)]
@@ -190,22 +242,119 @@ class SSAResult:
         return buf.getvalue()
 
 
-class _Uniforms:
-    """Blocked uniform draws: one numpy call per 2**16 variates."""
+# uniforms are drawn in blocks of this many, one numpy call per block; it is
+# even, so an event's two draws never straddle a block
+_BLOCK = 1 << 16
 
-    def __init__(self, rng, block=1 << 16):
-        self.rng = rng
-        self.block = block
-        self.buf = rng.random(block)
-        self.k = 0
+_LOOP = """\
+def loop(coefs, counts, t_max, max_events, lattice, rng, rec_times, rec_counts):
+    {c} = coefs
+    {n} = counts
+    {f} = {zeros}
+    log = _log
+    block = _BLOCK
+    buf = memoryview(rng.random(block))
+    k = 0
+    t = 0.0
+    events = 0
+    next_sample = 0
+    t_sample = lattice[0]
+    while True:
+{sums}
+        if total == 0.0:
+            reason = "absorbed"
+            break
+        if events >= max_events:
+            reason = "max_events"
+            break
+        if k == block:
+            buf = memoryview(rng.random(block))
+            k = 0
+        t_next = t - log(1.0 - buf[k]) / total
+        if t_next > t_max:
+            t = t_max
+            reason = "t_max"
+            break
+        while t_sample <= t_next:
+            rec_times.append(t_sample)
+            rec_counts.append(({n}))
+            next_sample += 1
+            t_sample = lattice[next_sample]
+        target = buf[k + 1] * total
+        k += 2
+{fire}
+        t = t_next
+        events += 1
+    return ({n}), t, events, reason, next_sample, ({f})
+"""
 
-    def __call__(self) -> float:
-        if self.k == self.block:
-            self.buf = self.rng.random(self.block)
-            self.k = 0
-        v = self.buf[self.k]
-        self.k += 1
-        return v
+
+_GROUP = 64
+
+
+def _chain(sums, bodies) -> list:
+    """An if/elif chain running the first body whose sum is not below ``target``.
+
+    The last body needs no test: the target never exceeds the total.
+    """
+    if len(bodies) == 1:
+        return bodies[0]
+    lines = []
+    for i, (s, body) in enumerate(zip(sums, bodies)):
+        if i == len(bodies) - 1:
+            lines.append("else:")
+        else:
+            lines.append(f"{'elif' if i else 'if'} not {s} < target:")
+        lines += ["    " + line for line in body]
+    return lines
+
+
+def _event_loop(system: ReactionSystem, omega: float):
+    """Generate ``ssa_run``'s event loop for one system and volume.
+
+    Returns ``(loop, coefs)``.  ``loop`` holds the counts in locals ``n0, n1,
+    ...``, unrolls every channel's ``_law`` and picks the firing channel by an
+    if/elif chain over the running sums; ``coefs`` are the channel
+    coefficients it unpacks at entry, passed as values so no float is printed.
+    """
+    species, reactions = system.species, system.reactions
+    coefs, sums, bodies = [], [], []
+    for r, rx in enumerate(reactions):
+        coef, needs, moves = _channel(rx, species, omega)
+        coefs.append(coef)
+        law = _law(r, needs)
+        sums.append(f"s{r} = s{r - 1} + {law}" if r else f"s{r} = {law}")
+        body = [f"n{k} {'+' if d > 0 else '-'}= {abs(d)}" for k, d in moves]
+        bodies.append(body + [f"f{r} += 1"])
+    sums.append(f"total = s{len(reactions) - 1}" if reactions else "total = 0.0")
+    # the running sums never decrease, so the first channel whose sum reaches
+    # the target lies in the first group whose last sum does; grouping only
+    # bounds the elif nesting, which the compiler limits to about 2000
+    groups = [range(g, min(g + _GROUP, len(reactions))) for g in range(0, len(reactions), _GROUP)]
+    fire = _chain(
+        [f"s{g[-1]}" for g in groups],
+        [_chain([f"s{r}" for r in g], [bodies[r] for r in g]) for g in groups],
+    )
+
+    def names(prefix, count):
+        return ", ".join(f"{prefix}{i}" for i in range(count)) + ","
+
+    source = _LOOP.format(
+        c=names("c", len(reactions)) if reactions else "()",
+        n=names("n", len(species)),
+        f=names("f", len(reactions)) if reactions else "()",
+        zeros="0," * len(reactions) or "()",
+        sums="\n".join(" " * 8 + line for line in sums),
+        fire="\n".join(" " * 8 + line for line in fire),
+    )
+    namespace = {"_log": math.log, "_BLOCK": _BLOCK}
+    exec(compile(source, "<ssa_run event loop>", "exec"), namespace)
+    return namespace["loop"], tuple(coefs)
+
+
+def _finite_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def ssa_run(
@@ -224,37 +373,20 @@ def ssa_run(
     "t_max" when simulated past the horizon, "absorbed" when no channel can
     fire (remaining samples hold the frozen state), "max_events" when the
     event budget ran out first (the sample record is truncated there).
+    ``fired`` counts the events of each channel.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if sample_dt is not None and sample_dt <= 0:
-        raise ValueError("sample_dt must be positive")
+    _finite_positive("t_max", t_max)
+    if sample_dt is not None:
+        _finite_positive("sample_dt", sample_dt)
+    if max_events is not None and max_events < 0:
+        raise ValueError(f"max_events must be nonnegative, got {max_events!r}")
     species = system.species
     n = [int(init.get(sp, 0)) for sp in species]
     if min(n) < 0:
         raise ValueError("initial counts must be nonnegative")
     if omega is None:
         omega = float(sum(n)) or 1.0
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-
-    # flatten each channel to (coef, [(idx, nu)...], [(idx, delta)...]):
-    # coef folds the rate, volume scaling and the 1/nu! of each C(n, nu),
-    # so the hot loop multiplies falling factorials only.
-    idx = {sp: k for k, sp in enumerate(species)}
-    channels = []
-    for rx in system.reactions:
-        coef = rx.rate / omega ** (rx.order - 1)
-        needs = []
-        for sp, nu in rx.reactants.items():
-            coef /= math.factorial(nu)
-            needs.append((idx[sp], nu))
-        moves = [
-            (idx[sp], d)
-            for sp, d in zip(species, rx.delta(species))
-            if d != 0
-        ]
-        channels.append((coef, needs, moves))
+    _finite_positive("omega", omega)
 
     if sample_dt is None:
         lattice = [0.0, float(t_max)]
@@ -263,73 +395,26 @@ def ssa_run(
         if lattice[-1] < t_max:
             lattice.append(float(t_max))
     rec_times: list[float] = []
-    rec_counts: list[list[int]] = []
-    next_sample = 0
-
-    uniform = _Uniforms(rng)
-    log = math.log
-    t = 0.0
-    events = 0
-    reason = "t_max"
-
-    while True:
-        # propensities
-        a0 = 0.0
-        acc = []
-        for coef, needs, _ in channels:
-            a = coef
-            for k, nu in needs:
-                nk = n[k]
-                if nk < nu:
-                    a = 0.0
-                    break
-                for d in range(nu):
-                    a *= nk - d
-            a0 += a
-            acc.append(a0)
-
-        if a0 == 0.0:
-            reason = "absorbed"
-            break
-        if max_events is not None and events >= max_events:
-            reason = "max_events"
-            break
-
-        t_next = t - log(1.0 - uniform()) / a0
-        if t_next > t_max:
-            t = t_max
-            reason = "t_max"
-            break
-
-        # record the pre-event state at every lattice point we jump across
-        while next_sample < len(lattice) and lattice[next_sample] <= t_next:
-            rec_times.append(lattice[next_sample])
-            rec_counts.append(list(n))
-            next_sample += 1
-
-        target = uniform() * a0
-        r = 0
-        while acc[r] < target:
-            r += 1
-        for k, d in channels[r][2]:
-            n[k] += d
-        t = t_next
-        events += 1
+    rec_counts: list[tuple] = []
+    loop, coefs = _event_loop(system, omega)
+    # the loop records the pre-event state at every lattice point it jumps
+    # across; the inf sentinel ends that scan without a bounds test
+    n, t, events, reason, next_sample, fired = loop(
+        coefs, n, t_max, math.inf if max_events is None else max_events,
+        lattice + [math.inf], rng, rec_times, rec_counts,
+    )
 
     if reason == "max_events":
         # the lattice beyond t is unreachable, but the state at the moment
         # the budget ran out is known -- record it so the series ends live
         rec_times.append(t)
-        rec_counts.append(list(n))
+        rec_counts.append(n)
     else:
         # no further events fire before t_max: the state holds to the horizon
         # (t_end stays at the absorption time when reason == "absorbed")
-        while next_sample < len(lattice):
-            rec_times.append(lattice[next_sample])
-            rec_counts.append(list(n))
-            next_sample += 1
-        if reason == "t_max":
-            t = t_max
+        rest = lattice[next_sample:]
+        rec_times += rest
+        rec_counts += [n] * len(rest)
 
     return SSAResult(
         species=species,
@@ -339,6 +424,7 @@ def ssa_run(
         t_end=t,
         reason=reason,
         omega=omega,
+        fired=fired,
     )
 
 

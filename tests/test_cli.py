@@ -140,6 +140,24 @@ def test_react_deterministic_output(tmp_path):
     assert header == "t,A,B,S"
     meta = read_meta(out1)
     assert meta["omega_used"] == 1500.0
+    assert len(meta["reactions"]) == 11
+    assert meta["reactions"][0] == "A + B -> 2 A @ 1"
+    (fired,) = meta["fired"]
+    assert len(fired) == 11 and sum(fired) > 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--omega", "nan"], ["--omega", "inf"], ["--tmax", "inf"],
+     ["--sample-dt", "nan"], ["--max-events", "-3"]],
+)
+def test_react_rejects_non_finite_and_negative_flags(tmp_path, capsys, flags):
+    out = tmp_path / "r.csv"
+    rc = main(["react", "--tmax", "1", "--init-a", "10", "--init-b", "10",
+               "--init-s", "10", "--out", str(out)] + flags)
+    assert rc == 1
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_react_ensemble_files(tmp_path):
@@ -150,8 +168,9 @@ def test_react_ensemble_files(tmp_path):
     assert rc == 0
     assert (tmp_path / "ts.0.csv").exists()
     assert (tmp_path / "ts.1.csv").exists()
-    assert read_meta(out)["outputs"] == [str(tmp_path / "ts.0.csv"),
-                                         str(tmp_path / "ts.1.csv")]
+    meta = read_meta(out)
+    assert meta["outputs"] == [str(tmp_path / "ts.0.csv"), str(tmp_path / "ts.1.csv")]
+    assert len(meta["fired"]) == 2
     # different seeds: overwhelmingly likely to differ
     assert (tmp_path / "ts.0.csv").read_text() != (tmp_path / "ts.1.csv").read_text()
 
@@ -167,6 +186,9 @@ def test_react_custom_system(tmp_path):
     rows = out.read_text().strip().splitlines()
     last = [int(v) for v in rows[-1].split(",")[1:]]
     assert last[0] < 1000 and last[1] == 0 and sum(last) == 1000
+    meta = read_meta(out)
+    assert meta["reactions"] == ["A -> S @ 0.054"]
+    assert meta["fired"] == [[1000 - last[0]]]
 
 
 def test_sweep_reference_class(tmp_path):

@@ -47,6 +47,9 @@ def test_every_standard_reaction_conserves():
 def test_reaction_validation():
     with pytest.raises(ValueError):
         rc.Reaction({"A": 1}, {"S": 1}, 0.0)
+    for rate in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            rc.Reaction({"A": 1}, {"S": 1}, rate)
     with pytest.raises(ValueError):
         rc.Reaction({"A": 0}, {"S": 1}, 1.0)
     with pytest.raises(ValueError):
@@ -79,6 +82,8 @@ def test_parse_reaction_forms():
         "A + B @ 0.5",  # no arrow
         "A + -> B @ 0.5",  # empty term
         "A ++ B -> 2B @ 0.5",  # malformed term
+        "A -> S @ inf",  # rate not finite
+        "A -> S @ nan",
     ],
 )
 def test_parse_reaction_rejects(bad):
@@ -228,6 +233,31 @@ def test_run_input_validation():
         rc.ssa_run(sys_, {"A": 10}, 1.0, rng, omega=0.0)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(t_max=math.nan), "t_max must be positive and finite"),
+        (dict(t_max=math.inf), "t_max must be positive and finite"),
+        (dict(sample_dt=math.nan), "sample_dt must be positive and finite"),
+        (dict(sample_dt=math.inf), "sample_dt must be positive and finite"),
+        (dict(omega=math.nan), "omega must be positive and finite"),
+        (dict(omega=math.inf), "omega must be positive and finite"),
+        (dict(max_events=-3), "max_events must be nonnegative"),
+    ],
+)
+def test_run_rejects_non_finite_and_negative_inputs(kw, message):
+    args = dict(t_max=1.0, rng=np.random.default_rng(0)) | kw
+    with pytest.raises(ValueError, match=message):
+        rc.ssa_run(rc.standard_system(), {"A": 10, "B": 10, "S": 10}, **args)
+
+
+def test_zero_event_budget_stops_before_the_first_event():
+    res = rc.ssa_run(rc.standard_system(), {"A": 10, "B": 10}, 1.0,
+                     np.random.default_rng(0), max_events=0)
+    assert (res.reason, res.events, res.t_end) == ("max_events", 0, 0.0)
+    assert res.fired == (0,) * 11
+
+
 def test_csv_layout():
     res = rc.ssa_run(
         rc.standard_system(), {"A": 20, "B": 20, "S": 20}, 2.0,
@@ -239,6 +269,78 @@ def test_csv_layout():
     t0 = lines[1].split(",")
     assert float(t0[0]) == 0.0
     assert [int(v) for v in t0[1:]] == [20, 20, 20]
+
+
+# -- firing counts ------------------------------------------------------------------
+
+
+def test_fired_counts_sum_to_events():
+    res = rc.ssa_run(rc.standard_system(), {"A": 300, "B": 300, "S": 300}, 5.0,
+                     np.random.default_rng(6), sample_dt=1.0)
+    assert len(res.fired) == 11
+    assert sum(res.fired) == res.events > 0
+    assert all(isinstance(f, int) for f in res.fired)
+
+
+def test_decay_only_system_fires_its_one_channel():
+    res = rc.ssa_run(rc.parse_system("A -> S @ 0.054"), {"A": 500}, 10.0,
+                     np.random.default_rng(7))
+    assert res.fired == (res.events,)
+    assert res.events == 500 - res.final_counts()["A"]
+
+
+def test_channel_that_cannot_fire_reads_zero():
+    # no B ever appears, so only A -> S (channel 9) can fire
+    res = rc.ssa_run(rc.standard_system(), {"A": 400, "S": 100}, 5.0,
+                     np.random.default_rng(8))
+    assert res.fired[9] == res.events > 0
+    assert res.fired[:9] == (0,) * 9 and res.fired[10] == 0
+
+
+def _many_channel_system(count, seed):
+    g = np.random.default_rng(seed)
+    lines = []
+    for _ in range(count):
+        a, b = g.choice(rc.SPECIES, 2, replace=False)
+        lines.append(f"{g.integers(1, 3)}{a} + {b} -> {b} + S @ {g.uniform(0.01, 1.0):.6g}")
+    return rc.parse_system("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "system",
+    # the 150-channel system spreads the channel choice over several groups
+    [rc.standard_system(), _many_channel_system(150, 0)],
+    ids=["standard", "150-channels"],
+)
+def test_propensity_is_the_rate_the_loop_uses(system):
+    # the first event's waiting time is -log(1 - u) / a0 and its channel is
+    # the first whose running sum reaches u' * a0, for the first two draws
+    # u, u' of the generator; summing propensity() in channel order must give
+    # the loop's a0 bit for bit
+    init = {"A": 1234, "B": 567, "S": 89}
+    for seed, omega in [(0, None), (1, 37.5), (2, 1e4)] + [(s, None) for s in range(3, 12)]:
+        u, u2 = np.random.default_rng(seed).random(2).tolist()
+        res = rc.ssa_run(system, init, 1e9, np.random.default_rng(seed),
+                         max_events=1, omega=omega)
+        rates = [rc.propensity(rx, init, res.omega) for rx in system.reactions]
+        a0 = 0.0
+        for a in rates:
+            a0 += a
+        assert res.t_end == 0.0 - math.log(1.0 - u) / a0
+        acc, r = rates[0], 0
+        while acc < u2 * a0:
+            r += 1
+            acc += rates[r]
+        assert res.fired == tuple(int(k == r) for k in range(len(rates)))
+
+
+def test_thousands_of_channels_compile():
+    # one flat elif chain this long would exceed the compiler's nesting limit
+    system = rc.parse_system("\n".join(f"A -> B @ {1 + k % 5}" for k in range(2500)))
+    res = rc.ssa_run(system, {"A": 40}, 1e9, np.random.default_rng(0))
+    assert res.reason == "absorbed"
+    assert res.final_counts() == {"A": 0, "B": 40, "S": 0}
+    assert sum(res.fired) == res.events == 40
 
 
 # -- golden trajectories -------------------------------------------------------------
