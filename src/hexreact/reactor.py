@@ -329,7 +329,7 @@ def _event_loop(system: ReactionSystem, omega: float):
     sums.append(f"total = s{len(reactions) - 1}" if reactions else "total = 0.0")
     # the running sums never decrease, so the first channel whose sum reaches
     # the target lies in the first group whose last sum does; grouping only
-    # bounds the elif nesting, which the compiler limits to about 2000
+    # bounds the elif nesting (the compiler rejects chains some thousands deep)
     groups = [range(g, min(g + _GROUP, len(reactions))) for g in range(0, len(reactions), _GROUP)]
     fire = _chain(
         [f"s{g[-1]}" for g in groups],
@@ -337,12 +337,12 @@ def _event_loop(system: ReactionSystem, omega: float):
     )
 
     def names(prefix, count):
-        return ", ".join(f"{prefix}{i}" for i in range(count)) + ","
+        return ", ".join(f"{prefix}{i}" for i in range(count)) + "," if count else "()"
 
     source = _LOOP.format(
-        c=names("c", len(reactions)) if reactions else "()",
+        c=names("c", len(reactions)),
         n=names("n", len(species)),
-        f=names("f", len(reactions)) if reactions else "()",
+        f=names("f", len(reactions)),
         zeros="0," * len(reactions) or "()",
         sums="\n".join(" " * 8 + line for line in sums),
         fire="\n".join(" " * 8 + line for line in fire),

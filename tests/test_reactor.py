@@ -400,14 +400,10 @@ def _sha(arr, dtype) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
 
 
-def _golden_run(name):
-    system, init, t_max, seed, kw = SSA_CASES[name]()
-    return rc.ssa_run(system, init, t_max, np.random.default_rng(seed), **kw)
-
-
 @pytest.mark.parametrize("name", sorted(SSA_CASES))
 def test_golden_ssa_trajectories(name):
-    res = _golden_run(name)
+    system, init, t_max, seed, kw = SSA_CASES[name]()
+    res = rc.ssa_run(system, init, t_max, np.random.default_rng(seed), **kw)
     got = (res.events, res.reason, res.t_end, _sha(res.times, "<f8"), _sha(res.counts, "<i8"))
     assert got == SSA_GOLDEN[name]
 
