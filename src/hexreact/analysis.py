@@ -22,12 +22,14 @@ list still grows with the soup count (32 rules within 5 soups, 59 within 20,
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .detector import (
+    CLASSES,
     GLIDER,
     MOBILE_CLASSES,
     PUFFER_TRAIN,
@@ -435,21 +437,8 @@ def diff_reduced_sets(a: ReducedRuleSet, b: ReducedRuleSet) -> list[tuple]:
 
 
 def enumerate_rules(rset: ReducedRuleSet):
-    """Yield every concrete rule in the class, in mixed-radix order."""
-    choices = [sorted(rset.allowed[pair]) for pair in PAIRS]
-    entries = [c[0] for c in choices]
-    yield RuleMatrix(entries)
-    digits = [0] * 36
-    while True:
-        k = 35
-        while k >= 0 and digits[k] == len(choices[k]) - 1:
-            digits[k] = 0
-            entries[k] = choices[k][0]
-            k -= 1
-        if k < 0:
-            return
-        digits[k] += 1
-        entries[k] = choices[k][digits[k]]
+    """Yield every concrete rule in the class, in mixed-radix order (last entry fastest)."""
+    for entries in itertools.product(*(sorted(rset.allowed[pair]) for pair in PAIRS)):
         yield RuleMatrix(entries)
 
 
@@ -493,14 +482,13 @@ class SweepReport:
 
     def mobile_count(self) -> int:
         total = self.total_histogram()
-        return total.get("Glider", 0) + total.get("PufferTrain", 0)
+        return sum(total.get(c, 0) for c in MOBILE_CLASSES)
 
     def to_csv(self) -> str:
-        classes = ["StillLife", "Oscillator", "Glider", "PufferTrain", "Unresolved"]
-        lines = ["rule," + ",".join(classes)]
+        lines = ["rule," + ",".join(CLASSES)]
         for e in self.entries:
             lines.append(
-                e.rule.to_genome() + "," + ",".join(str(e.histogram.get(c, 0)) for c in classes)
+                e.rule.to_genome() + "," + ",".join(str(e.histogram.get(c, 0)) for c in CLASSES)
             )
         return "\n".join(lines) + "\n"
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -118,9 +119,7 @@ def cmd_detect(args) -> int:
     lines = [REPORT_HEADER] + report_rows(locs)
     _write(args.out, "\n".join(lines) + "\n")
     _write_meta(args.out, args)
-    census: dict[str, int] = {}
-    for loc in locs:
-        census[loc.loc_class] = census.get(loc.loc_class, 0) + 1
+    census = Counter(loc.loc_class for loc in locs)
     print(f"{len(locs)} localizations: " + (
         ", ".join(f"{k}={v}" for k, v in sorted(census.items())) or "none"))
     return 0

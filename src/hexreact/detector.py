@@ -48,13 +48,13 @@ from .hexgrid import (
 )
 from .rules import RuleMatrix
 
-# Localization classes.
+# Localization classes, in report order.
 STILL_LIFE = "StillLife"
 OSCILLATOR = "Oscillator"
 GLIDER = "Glider"
 PUFFER_TRAIN = "PufferTrain"
 UNRESOLVED = "Unresolved"
-
+CLASSES = (STILL_LIFE, OSCILLATOR, GLIDER, PUFFER_TRAIN, UNRESOLVED)
 MOBILE_CLASSES = (GLIDER, PUFFER_TRAIN)
 
 
@@ -88,10 +88,12 @@ class _Frame:
     ``cells[bounds[k]:bounds[k + 1]]`` (sorted) with ``states`` aligned, and
     ``dilated[dil_bounds[k]:dil_bounds[k + 1]]`` (sorted), and ``dil_comp``
     names the component of each dilated entry.  ``labels`` maps every flat
-    cell to its component, or -1 on substrate.
+    cell to its component, or -1 on substrate.  ``track`` adds each
+    component's canonical ``shapes`` and torus ``anchors`` (see ``_shapes``).
     """
 
-    __slots__ = ("cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels")
+    __slots__ = ("cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels",
+                 "shapes", "anchors")
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -396,29 +398,31 @@ def classify(loc: Localization) -> str:
 
 
 class _Track:
-    """Mutable tracking state while scanning frames; becomes a Localization."""
+    """A Localization being built, and its (frame, component) places on consecutive frames."""
 
-    __slots__ = ("loc", "places", "anchor_cell", "last_two_frames")
+    __slots__ = ("loc", "places")
 
-    def __init__(self, first_frame: int, p_max: int):
-        self.loc = Localization(first_frame=first_frame, p_max=p_max)
-        self.places: list[tuple[_Frame, int]] = []  # (frame, component index)
-        self.anchor_cell = -1  # flat torus index of the current anchor
-        self.last_two_frames: list = []
+    def __init__(self, first_frame: int, p_max: int, frame: _Frame, k: int):
+        self.loc = Localization(first_frame, [frame.shapes[k]], [(0, 0)], p_max=p_max)
+        self.places = [(frame, k)]
 
-    def append(self, frame: _Frame, k: int, shape, anchor_axial, anchor_cell: int) -> None:
-        self.loc.shapes.append(shape)
-        self.loc.anchors.append(anchor_axial)
+    def extend(self, frame: _Frame, k: int, h: int, w: int) -> None:
+        """Continue on component ``k`` of the next frame, stepping the anchor."""
+        prev, j = self.places[-1]
+        dr, dq = _axial_delta(prev.anchors[j], frame.anchors[k], h, w)
+        ar, aq = self.loc.anchors[-1]
+        self.loc.shapes.append(frame.shapes[k])
+        self.loc.anchors.append((ar + dr, aq + dq))
         self.places.append((frame, k))
-        self.anchor_cell = anchor_cell
 
-    def finish(self, reason: str | None) -> None:
+    def finish(self, reason: str | None) -> Localization:
         self.loc.terminated = reason
         last = _component(*self.places[-1])
         self.loc.cells_last = last.cells
         self.loc.states_last = last.states
         self._measure_trail()
         self.places = []  # let go of the frames' arrays
+        return self.loc
 
     def _measure_trail(self) -> None:
         """Persistent non-S debris inside the corridor this track swept.
@@ -428,14 +432,14 @@ class _Track:
         from the current head) in each of the last two frames; shapes that
         merely flicker during the head's passage do not count.
         """
-        if len(self.places) < 3 or len(self.last_two_frames) < 2:
+        if len(self.places) < 3:
             return
         corridor = np.concatenate([_component(*p).dilated for p in self.places[:-1]])
         hits = []
-        for place, frame_cells in zip(self.places[-2:], self.last_two_frames):
-            near_head = np.isin(frame_cells, _component(*place).dilated)
-            in_corridor = np.isin(frame_cells, corridor)
-            hits.append(frame_cells[in_corridor & ~near_head])
+        for frame, k in self.places[-2:]:
+            near_head = np.isin(frame.cells, _component(frame, k).dilated)
+            in_corridor = np.isin(frame.cells, corridor)
+            hits.append(frame.cells[in_corridor & ~near_head])
         if len(hits[0]) and len(hits[1]):
             self.loc.has_trail = True
             self.loc.trail_size = len(hits[1])
@@ -464,57 +468,38 @@ def track(tr: Trajectory, window: int | None = None, p_max: int = 12) -> list[Lo
         raise ValueError("p_max must be >= 1")
     t_offset = tr.t0 + (len(tr.frames) - len(frames))
 
-    done: list[_Track] = []
-    frame_cells: list[np.ndarray] = []  # each scanned frame's non-S cells
-
-    def finish(trk: _Track, reason: str | None, at: int) -> None:
-        trk.last_two_frames = frame_cells[max(0, at - 1) : at + 1]
-        trk.finish(reason)
-        done.append(trk)
-
+    done: list[Localization] = []
     tracks: dict[int, _Track] = {}
     prev = None
     for t, grid in enumerate(frames):
         frame = _scan(grid)
-        shapes, anchors = _shapes(frame.cells, frame.states, frame.bounds, h, w)
-        frame_cells.append(frame.cells)
+        frame.shapes, frame.anchors = _shapes(frame.cells, frame.states, frame.bounds, h, w)
         if tracks:
             nsucc, succ, nclaim = _links(prev, frame, list(tracks))
 
         next_tracks: dict[int, _Track] = {}
         for prev_idx, trk in tracks.items():
-            if nsucc[prev_idx] == 0:
-                finish(trk, None, t - 1)  # died out; still classifiable
-            elif nsucc[prev_idx] > 1:
-                finish(trk, "split", t - 1)
-            elif nclaim[succ[prev_idx]] > 1:
-                finish(trk, "merge", t - 1)
-            else:
-                idx = succ[prev_idx]
-                dr, dq = _axial_delta(trk.anchor_cell, anchors[idx], h, w)
-                ar, aq = trk.loc.anchors[-1]
-                trk.append(frame, idx, shapes[idx], (ar + dr, aq + dq), anchors[idx])
+            n, idx = nsucc[prev_idx], succ[prev_idx]
+            if n == 1 and nclaim[idx] == 1:
+                trk.extend(frame, idx, h, w)
                 next_tracks[idx] = trk
+            else:  # died out (still classifiable), merged into another, or split
+                done.append(trk.finish(None if n == 0 else "merge" if n == 1 else "split"))
 
         for idx in range(len(frame)):
             if idx not in next_tracks:
-                fresh = _Track(t_offset + t, p_max)
-                fresh.append(frame, idx, shapes[idx], (0, 0), anchors[idx])
-                next_tracks[idx] = fresh
+                next_tracks[idx] = _Track(t_offset + t, p_max, frame, idx)
 
         for idx in _clashes(frame, list(next_tracks)):
-            finish(next_tracks.pop(idx), "proximity", t)
+            done.append(next_tracks.pop(idx).finish("proximity"))
         tracks = next_tracks
         prev = frame
 
-    for trk in tracks.values():
-        finish(trk, None, len(frames) - 1)
-
-    locs = [trk.loc for trk in done]
-    locs.sort(key=lambda l: l.first_frame)  # stable: frame order, then discovery order
-    for loc in locs:
+    done.extend(trk.finish(None) for trk in tracks.values())
+    done.sort(key=lambda l: l.first_frame)  # stable: frame order, then discovery order
+    for loc in done:
         classify(loc)
-    return locs
+    return done
 
 
 def _links(prev: _Frame, frame: _Frame, tracked: list[int]) -> tuple[list, list, list]:
@@ -591,8 +576,7 @@ class FitnessConfig:
     count_puffers: bool = True
 
     def __post_init__(self):
-        if self.height % 2:
-            raise ValueError("tracking requires an even grid height")
+        _require_even_height(self.height)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.patch_width > self.width or self.patch_height > self.height:
@@ -661,8 +645,7 @@ def report_rows(locs: list[Localization], trial: int = 0) -> list[str]:
     rows = []
     for loc in locs:
         period = "" if loc.period is None else loc.period
-        dr = "" if loc.displacement is None else loc.displacement[0]
-        dc = "" if loc.displacement is None else loc.displacement[1]
+        dr, dc = ("", "") if loc.displacement is None else loc.displacement
         rows.append(
             f"{trial},{loc.loc_class},{period},{dr},{dc},{loc.size},{loc.first_frame}"
         )

@@ -171,13 +171,21 @@ def _channel(rx: Reaction, species: tuple, omega: float) -> tuple:
     ``C(n, nu)``.  ``needs`` lists ``(k, nu)`` per reactant in dict order, with
     ``k`` indexing ``species``; ``moves`` lists the nonzero ``(k, delta)`` of
     one firing.  ``_law`` turns ``coef`` and ``needs`` into the propensity.
+    An omega so extreme that ``coef`` leaves the positive floats is rejected.
     """
     index = {sp: k for k, sp in enumerate(species)}
-    coef = rx.rate / omega ** (rx.order - 1)
+    try:
+        coef = rx.rate / omega ** (rx.order - 1)
+    except (OverflowError, ZeroDivisionError):
+        coef = math.nan
     needs = []
     for sp, nu in rx.reactants.items():
         coef /= math.factorial(int(nu))
         needs.append((index[sp], int(nu)))
+    if not (math.isfinite(coef) and coef > 0):
+        raise ValueError(
+            f"omega={omega!r} puts the rate of {format_reaction(rx)!r} out of float range"
+        )
     moves = [(index[sp], int(d)) for sp, d in zip(species, rx.delta(species)) if d != 0]
     return coef, needs, moves
 
@@ -428,17 +436,14 @@ def ssa_run(
     )
 
 
-def count_oscillation_features(series, smooth: int = 1, detrend: int = 0) -> int:
+def count_oscillation_features(series, detrend: int = 0) -> int:
     """Count pulse peaks: strict local maxima of a sampled series.
 
-    ``smooth`` > 1 first applies a box filter of that width.  ``detrend``
-    (odd, >= 3) subtracts a centred moving average of that width before
-    counting, so the count measures peaks of the fluctuating component --
-    in steeply trending stretches the trend otherwise swamps every pulse.
+    ``detrend`` (odd, >= 3) subtracts a centred moving average of that width
+    before counting, so the count measures peaks of the fluctuating component
+    -- in steeply trending stretches the trend otherwise swamps every pulse.
     """
     x = np.asarray(series, dtype=float)
-    if smooth > 1:
-        x = np.convolve(x, np.ones(smooth) / smooth, mode="valid")
     if detrend:
         if detrend < 3 or detrend % 2 == 0:
             raise ValueError("detrend width must be odd and at least 3")

@@ -251,6 +251,14 @@ def test_enumerate_reference_class():
     assert n == 648
 
 
+def test_enumerate_is_mixed_radix_with_the_last_entry_fastest():
+    # sorted choices, last entry fastest: the genomes come out strictly ascending
+    rules = an.enumerate_rules(an.reference_reduced_set())
+    genomes = [tuple(rule.genome.tolist()) for rule in rules]
+    assert len(genomes) == 648
+    assert all(a < b for a, b in zip(genomes, genomes[1:]))
+
+
 def test_sample_rules_distinct_and_in_class():
     r = an.reference_reduced_set()
     rng = np.random.default_rng(10)
@@ -468,7 +476,7 @@ def test_stationarity_sweep_structure():
     assert set(total) <= allowed_classes
     csv = report.to_csv()
     lines = csv.strip().splitlines()
-    assert lines[0].startswith("rule,")
+    assert lines[0] == "rule,StillLife,Oscillator,Glider,PufferTrain,Unresolved"
     assert len(lines) == 4
     assert report.mobile_count() >= 0
 

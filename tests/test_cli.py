@@ -160,6 +160,17 @@ def test_react_rejects_non_finite_and_negative_flags(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("omega", ["1e-200", "1e200"])
+def test_react_rejects_an_omega_that_puts_a_rate_out_of_range(tmp_path, capsys, omega):
+    out = tmp_path / "r.csv"
+    rc = main(["react", "--tmax", "1", "--init-a", "10", "--init-b", "10",
+               "--omega", omega, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hexreact: omega=") and "out of float range" in err
+    assert not out.exists()
+
+
 def test_react_ensemble_files(tmp_path):
     out = tmp_path / "ts.csv"
     rc = main(["react", "--tmax", "2", "--seed", "1", "--ensemble", "2",

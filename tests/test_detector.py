@@ -403,7 +403,10 @@ def test_fitness_config_validation():
 
 
 def _census(tr):
-    return Counter((l.loc_class, l.period, l.displacement) for l in track(tr))
+    return Counter(
+        (l.loc_class, l.period, l.displacement, l.terminated, l.first_frame, l.frames, l.size)
+        for l in track(tr)
+    )
 
 
 def _swap_ab(cells):
@@ -417,28 +420,37 @@ def _conjugate(rule):
     )
 
 
-METAMORPHIC_SEEDS = {
-    "soup-0": lambda: random_patch_grid(FitnessConfig(), np.random.default_rng(0)),
-    "soup-1": lambda: random_patch_grid(FitnessConfig(), np.random.default_rng(1)),
-    "lone-glider": bundled_glider_seed,
+# a one-letter mutant of the bundled rule whose soups explode: 1660 of the
+# 4096 cells are non-S after 200 steps of soup-0
+EXPLOSIVE_RULE = "SSSSSSSSABASSSSBSSSSSSASSSSSSSSSSSSS"
+
+
+def _soup(seed):
+    return random_patch_grid(FitnessConfig(), np.random.default_rng(seed))
+
+
+METAMORPHIC_CASES = {
+    "soup-0": lambda: (bundled_glider_rule(), _soup(0)),
+    "soup-1": lambda: (bundled_glider_rule(), _soup(1)),
+    "lone-glider": lambda: (bundled_glider_rule(), bundled_glider_seed()),
+    "explosive-mutant-soup": lambda: (RuleMatrix.from_genome(EXPLOSIVE_RULE), _soup(0)),
+    "dense-rule-soup": lambda: (random_rule(np.random.default_rng(5)), _soup(0)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(METAMORPHIC_SEEDS))
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_CASES))
 def test_census_is_invariant_under_translation(name):
-    rule = bundled_glider_rule()
-    grid = METAMORPHIC_SEEDS[name]()
+    rule, grid = METAMORPHIC_CASES[name]()
     base = _census(run(grid, rule, 200, keep_last=48))
     if name == "lone-glider":
-        assert base == Counter({(GLIDER, 2, (2, -2)): 1})
+        assert base == Counter({(GLIDER, 2, (2, -2), None, 153, 48, 4): 1})
     for dr, dc in [(10, 23), (32, 7), (-6, 1)]:
         assert _census(run(grid.translate(dr, dc), rule, 200, keep_last=48)) == base
 
 
-@pytest.mark.parametrize("name", sorted(METAMORPHIC_SEEDS))
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_CASES))
 def test_census_is_invariant_under_the_ab_swap(name):
-    rule = bundled_glider_rule()
-    grid = METAMORPHIC_SEEDS[name]()
+    rule, grid = METAMORPHIC_CASES[name]()
     base = _census(run(grid, rule, 200, keep_last=48))
     tr = run(Grid(_swap_ab(grid.cells)), _conjugate(rule), 200, keep_last=48)
     assert np.array_equal(tr[-1].cells, _swap_ab(run(grid, rule, 200)[-1].cells))

@@ -119,6 +119,14 @@ def test_propensity_volume_scaling():
     assert rc.propensity(pair, {"A": 5, "B": 5}, 20.0) == pytest.approx(1.25)
 
 
+@pytest.mark.parametrize("omega", [1e-200, 1e200, 5e-324])
+def test_propensity_rejects_an_omega_that_puts_the_rate_out_of_range(omega):
+    # A + 2B -> 3B is third order: omega**2 underflows to 0 or overflows
+    rx = rc.parse_reaction("A + 2B -> 3B @ 0.1")
+    with pytest.raises(ValueError, match=r"omega=.*'A \+ 2 B -> 3 B @ 0\.1'.*out of float range"):
+        rc.propensity(rx, {"A": 5, "B": 5}, omega)
+
+
 # -- ssa_run -----------------------------------------------------------------------
 
 
@@ -243,6 +251,8 @@ def test_run_input_validation():
         (dict(omega=math.nan), "omega must be positive and finite"),
         (dict(omega=math.inf), "omega must be positive and finite"),
         (dict(max_events=-3), "max_events must be nonnegative"),
+        (dict(omega=1e-200), "omega=1e-200 puts the rate of .* out of float range"),
+        (dict(omega=1e200), r"omega=1e\+200 puts the rate of .* out of float range"),
     ],
 )
 def test_run_rejects_non_finite_and_negative_inputs(kw, message):
