@@ -1,12 +1,13 @@
 """End-to-end runs of every subcommand against real files."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from hexreact import analysis
-from hexreact.cli import main
+from hexreact.cli import build_parser, main
 from hexreact.detector import FitnessConfig
 from hexreact.engine import parse_frames
 from hexreact.hexgrid import Grid
@@ -262,3 +263,138 @@ def test_version_flag(capsys):
         main(["--version"])
     assert e.value.code == 0
     assert "hexreact" in capsys.readouterr().out
+
+
+# Every subcommand's flags as (option, dest, type, default), in parser order.
+# The defaults are the parser's, so the census entries show the class-sweep
+# protocol it sets over the FitnessConfig defaults.
+CLI_SURFACE = {
+    "simulate": [
+        ("--rule", "rule", None, None),
+        ("--grid", "grid", None, None),
+        ("--steps", "steps", int, 100),
+        ("--keep-last", "keep_last", int, None),
+        ("--dump", "dump", None, None),
+        ("--pgm-dir", "pgm_dir", None, None),
+    ],
+    "detect": [
+        ("--rule", "rule", None, None),
+        ("--grid", "grid", None, None),
+        ("--steps", "steps", int, 200),
+        ("--window", "window", int, 48),
+        ("--p-max", "p_max", int, 12),
+        ("--out", "out", None, "detect.csv"),
+    ],
+    "evolve": [
+        ("--seed", "seed", int, 0),
+        ("--population", "population", int, 40),
+        ("--tournament", "tournament", int, 2),
+        ("--crossover-prob", "crossover_prob", float, 0.6),
+        ("--elitism", "elitism", int, 1),
+        ("--stall", "stall", int, 10),
+        ("--max-generations", "max_generations", int, None),
+        ("--out", "out", None, "best_rule.txt"),
+        ("--history-out", "history_out", None, None),
+        ("--append-corpus", "append_corpus", None, None),
+        ("--width", "width", int, 64),
+        ("--height", "height", int, 64),
+        ("--patch-width", "patch_width", int, 16),
+        ("--patch-height", "patch_height", int, 16),
+        ("--p-a", "p_a", float, 0.1),
+        ("--p-b", "p_b", float, 0.1),
+        ("--steps", "steps", int, 200),
+        ("--window", "window", int, 48),
+        ("--p-max", "p_max", int, 12),
+        ("--trials", "trials", int, 5),
+    ],
+    "likelihood": [
+        ("--corpus", "corpus", None, None),
+        ("--seed", "seed", int, 0),
+        ("--max-trials", "max_trials", int, 20),
+        ("--out", "out", None, "likelihoods.csv"),
+        ("--heatmap-dir", "heatmap_dir", None, None),
+        ("--width", "width", int, 64),
+        ("--height", "height", int, 64),
+        ("--patch-width", "patch_width", int, 16),
+        ("--patch-height", "patch_height", int, 16),
+        ("--p-a", "p_a", float, 0.1),
+        ("--p-b", "p_b", float, 0.1),
+        ("--steps", "steps", int, 200),
+        ("--window", "window", int, 48),
+        ("--p-max", "p_max", int, 12),
+        ("--trials", "trials", int, 5),
+    ],
+    "reduce": [
+        ("--likelihoods", "likelihoods", None, "reference"),
+        ("--theta", "theta", float, 0.2),
+        ("--eps", "eps", float, 0.1),
+        ("--mode", "mode", None, "mean"),
+        ("--floor", "floor", float, None),
+        ("--out", "out", None, "reduced.csv"),
+        ("--diff-against", "diff_against", None, None),
+        ("--diff-out", "diff_out", None, None),
+    ],
+    "react": [
+        ("--tmax", "tmax", float, 40.0),
+        ("--sample-dt", "sample_dt", float, 0.25),
+        ("--seed", "seed", int, 0),
+        ("--init-a", "init_a", int, 33333),
+        ("--init-b", "init_b", int, 33333),
+        ("--init-s", "init_s", int, 33333),
+        ("--omega", "omega", float, None),
+        ("--max-events", "max_events", int, None),
+        ("--ensemble", "ensemble", int, 1),
+        ("--system", "system", None, None),
+        ("--out", "out", None, "react.csv"),
+    ],
+    "sweep": [
+        ("--reduced", "reduced", None, "reference"),
+        ("--rules", "rules", int, 20),
+        ("--seed", "seed", int, 0),
+        ("--out", "out", None, "sweep.csv"),
+        ("--width", "width", int, 64),
+        ("--height", "height", int, 64),
+        ("--patch-width", "patch_width", int, 16),
+        ("--patch-height", "patch_height", int, 16),
+        ("--p-a", "p_a", float, 0.1),
+        ("--p-b", "p_b", float, 0.1),
+        ("--steps", "steps", int, 200),
+        ("--window", "window", int, 48),
+        ("--p-max", "p_max", int, 12),
+        ("--trials", "trials", int, 5),
+    ],
+    "census": [
+        ("--reduced", "reduced", None, "reference"),
+        ("--out", "out", None, "census.csv"),
+        ("--width", "width", int, 30),
+        ("--height", "height", int, 30),
+        ("--patch-width", "patch_width", int, 30),
+        ("--patch-height", "patch_height", int, 30),
+        ("--p-a", "p_a", float, 0.1),
+        ("--p-b", "p_b", float, 0.1),
+        ("--steps", "steps", int, 300),
+        ("--window", "window", int, 60),
+        ("--p-max", "p_max", int, 12),
+        ("--trials", "trials", int, 5),
+    ],
+}
+
+
+def _surface(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [
+            (a.option_strings[0], a.dest, a.type, a.default)
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, p in sub.choices.items()
+    }
+
+
+def test_every_subcommand_keeps_its_flags_types_and_defaults():
+    surface = _surface(build_parser())
+    assert surface == CLI_SURFACE
+    # 40 == 40.0, so the default's type is compared too
+    for name, flags in CLI_SURFACE.items():
+        assert [type(f[3]) for f in surface[name]] == [type(f[3]) for f in flags], name
