@@ -173,7 +173,6 @@ class GliderTrace:
     """A verified lone-glider run: the evidence behind one corpus entry."""
 
     rule: RuleMatrix
-    seed_grid: Grid
     trajectory: Trajectory
     loc: Localization
 
@@ -181,22 +180,24 @@ class GliderTrace:
         return necessary_transitions(self.rule, self.loc, self.trajectory)
 
 
-def _materialize_shape(shape, size: int) -> Grid:
-    """Place a canonical (axial) shape near the centre of an empty torus."""
+# side of the empty square torus a glider is replanted on
+LONE_SIZE = 48
+
+
+def _materialize_shape(shape) -> Grid:
+    """Place a canonical (axial) shape near the centre of an empty ``LONE_SIZE`` torus."""
     rows = [c[0] for c in shape]
     qs = [c[1] for c in shape]
-    r0 = size // 2 - (max(rows) - min(rows)) // 2
-    q0 = size // 2 - (max(qs) - min(qs)) // 2
-    g = Grid.filled(size, size)
+    r0 = LONE_SIZE // 2 - (max(rows) - min(rows)) // 2
+    q0 = LONE_SIZE // 2 - (max(qs) - min(qs)) // 2
+    g = Grid.filled(LONE_SIZE, LONE_SIZE)
     for ar, aq, state in shape:
         r, c = axial_to_offset(aq + q0, ar + r0)
-        g[r % size, c % size] = state
+        g[r % LONE_SIZE, c % LONE_SIZE] = state
     return g
 
 
-def replant_glider(
-    rule: RuleMatrix, shape, p_max: int = 12, lone_size: int = 48
-) -> GliderTrace | None:
+def replant_glider(rule: RuleMatrix, shape, p_max: int = 12) -> GliderTrace | None:
     """Plant ``shape`` alone on an empty torus; its trace if it glides cleanly.
 
     The lone run lasts ``4 * p_max + 4`` steps and must track as exactly one
@@ -204,14 +205,13 @@ def replant_glider(
     break-up.  This is the check that makes a tracked glider a verified one.
     """
     steps = 4 * p_max + 4
-    seed_grid = _materialize_shape(shape, lone_size)
-    lone = run(seed_grid, rule, steps)
+    lone = run(_materialize_shape(shape), rule, steps)
     locs = track(lone, p_max=p_max)
     if len(locs) != 1:
         return None
     cand = locs[0]
     if cand.loc_class == GLIDER and cand.first_frame == 0 and cand.frames == steps + 1:
-        return GliderTrace(rule, seed_grid, lone, cand)
+        return GliderTrace(rule, lone, cand)
     return None
 
 
@@ -220,7 +220,6 @@ def find_glider(
     cfg: FitnessConfig,
     rng: np.random.Generator,
     max_trials: int = 20,
-    lone_size: int = 48,
 ) -> GliderTrace | None:
     """Hunt a verified lone glider for ``rule``, or None.
 
@@ -233,7 +232,7 @@ def find_glider(
         for loc in soup_localizations(rule, cfg, int(seed)):
             if loc.loc_class != GLIDER:
                 continue
-            trace = replant_glider(rule, loc.shapes[-1], cfg.p_max, lone_size)
+            trace = replant_glider(rule, loc.shapes[-1], cfg.p_max)
             if trace is not None:
                 return trace
     return None
@@ -634,9 +633,9 @@ def census_to_csv(rows: list[CensusRow], cfg: FitnessConfig, command: str) -> st
         f" {cfg.steps} steps; tracked over the trailing {cfg.window} frames, p_max {cfg.p_max}.",
         "# first_soup: the first soup k with a mobile track, so the rows with first_soup < n"
         " are the census at n soups per rule.",
-        "# verified: Glider tracks whose last shape, replanted alone on an empty 48x48"
-        " torus, tracks as one clean Glider (replant_glider); shape is the first such"
-        " (r:q:state axial cells), period and dr,dq are its lone run's.",
+        "# verified: Glider tracks whose last shape, replanted alone on an empty"
+        f" {LONE_SIZE}x{LONE_SIZE} torus, tracks as one clean Glider (replant_glider);"
+        " shape is the first such (r:q:state axial cells), period and dr,dq are its lone run's.",
         f"# Regenerate: {command}",
         CENSUS_HEADER,
     ]

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -44,47 +44,36 @@ def _write_meta(out_path: str, args: argparse.Namespace, **extra) -> None:
     _write(out_path + ".meta.json", json.dumps(meta, indent=2, default=str) + "\n")
 
 
-def _add_fitness_args(p: argparse.ArgumentParser) -> None:
-    d = FitnessConfig()
+# FitnessConfig's fields are the soup-run flags, all but count_puffers
+_FITNESS_FLAGS = tuple(f.name for f in fields(FitnessConfig) if f.name != "count_puffers")
+_FITNESS_HELP = {
+    "p_a": "per-cell probability of seeding state A",
+    "p_b": "per-cell probability of seeding state B",
+    "window": "trailing frames kept for detection",
+    "p_max": "largest period the tracker will certify",
+}
+
+
+def _add_fitness_args(p: argparse.ArgumentParser, names=_FITNESS_FLAGS) -> None:
+    """Flags for the ``names`` fields of FitnessConfig, typed and defaulted by it."""
     g = p.add_argument_group("soup runs")
-    g.add_argument("--width", type=int, default=d.width)
-    g.add_argument("--height", type=int, default=d.height)
-    g.add_argument("--patch-width", type=int, default=d.patch_width)
-    g.add_argument("--patch-height", type=int, default=d.patch_height)
-    g.add_argument("--p-a", type=float, default=d.p_a,
-                   help="per-cell probability of seeding state A")
-    g.add_argument("--p-b", type=float, default=d.p_b,
-                   help="per-cell probability of seeding state B")
-    g.add_argument("--steps", type=int, default=d.steps)
-    g.add_argument("--window", type=int, default=d.window,
-                   help="trailing frames kept for detection")
-    g.add_argument("--p-max", type=int, default=d.p_max,
-                   help="largest period the tracker will certify")
-    g.add_argument("--trials", type=int, default=d.trials)
-
-
-_FITNESS_FLAGS = (
-    "width", "height", "patch_width", "patch_height", "p_a", "p_b",
-    "steps", "window", "p_max", "trials",
-)
+    for f in fields(FitnessConfig):
+        if f.name in names:
+            g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                           default=f.default, help=_FITNESS_HELP.get(f.name))
 
 
 def _fitness_config(args: argparse.Namespace) -> FitnessConfig:
     return FitnessConfig(**{name: getattr(args, name) for name in _FITNESS_FLAGS})
 
 
-def _load_likelihoods(source: str) -> analysis.LikelihoodMatrices:
+def _load(table, source: str):
+    """A ``table`` read from the CSV at ``source``, or the bundled one for 'reference'."""
     if source == "reference":
-        return analysis.reference_likelihoods()
+        return {analysis.LikelihoodMatrices: analysis.reference_likelihoods,
+                analysis.ReducedRuleSet: analysis.reference_reduced_set}[table]()
     with open(source, "r", encoding="utf-8") as fh:
-        return analysis.LikelihoodMatrices.from_csv(fh.read())
-
-
-def _load_reduced(source: str) -> analysis.ReducedRuleSet:
-    if source == "reference":
-        return analysis.reference_reduced_set()
-    with open(source, "r", encoding="utf-8") as fh:
-        return analysis.ReducedRuleSet.from_csv(fh.read())
+        return table.from_csv(fh.read())
 
 
 def _read_grid(path: str) -> Grid:
@@ -183,14 +172,14 @@ def cmd_likelihood(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    matrices = _load_likelihoods(args.likelihoods)
+    matrices = _load(analysis.LikelihoodMatrices, args.likelihoods)
     reduced = analysis.reduce_likelihoods(
         matrices, theta=args.theta, eps=args.eps, mode=args.mode, floor=args.floor
     )
     _write(args.out, reduced.to_csv())
     extra = {"class_size": reduced.count()}
     if args.diff_against:
-        other = _load_reduced(args.diff_against)
+        other = _load(analysis.ReducedRuleSet, args.diff_against)
         diff = analysis.diff_reduced_sets(reduced, other)
         diff_path = args.diff_out or args.out + ".diff.csv"
         rows = ["i,j,ours,other"] + [f"{i},{j},{a},{b}" for i, j, a, b in diff]
@@ -243,7 +232,7 @@ def cmd_react(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    reduced = _load_reduced(args.reduced)
+    reduced = _load(analysis.ReducedRuleSet, args.reduced)
     cfg = _fitness_config(args)
     rng = np.random.default_rng(args.seed)
     report = analysis.stationarity_sweep(reduced, cfg, rng, n_rules=args.rules)
@@ -259,7 +248,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_census(args) -> int:
-    reduced = _load_reduced(args.reduced)
+    reduced = _load(analysis.ReducedRuleSet, args.reduced)
     cfg = _fitness_config(args)
     rows = analysis.class_census(reduced, cfg)
     defaults = asdict(FitnessConfig(**analysis.CLASS_SWEEP_PROTOCOL))
@@ -304,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="track and classify localizations")
     p.add_argument("--rule", required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--window", type=int, default=48)
-    p.add_argument("--p-max", type=int, default=12)
+    _add_fitness_args(p, ("steps", "window", "p_max"))
     p.add_argument("--out", default="detect.csv")
     p.set_defaults(func=cmd_detect)
 

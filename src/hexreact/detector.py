@@ -45,6 +45,7 @@ from .hexgrid import (
     ODD_ROW_NEIGHBORS,
     Grid,
     neighbor_table,
+    offset_to_axial,
 )
 from .rules import RuleMatrix
 
@@ -266,7 +267,7 @@ def _shapes(
     starts = bounds[:-1]
     comp = np.repeat(np.arange(len(starts)), np.diff(bounds))
     rows, cols = _lift(cells, comp, bounds, h, w)
-    q = cols - (rows - (rows & 1)) // 2
+    q, _ = offset_to_axial(rows, cols)
     # one sort over (component, row, axial column); the triples are distinct,
     # so a packed key sorts like np.lexsort, which is far slower here
     rows, q = rows - rows.min(), q - q.min()
@@ -315,8 +316,8 @@ def _axial_delta(a0: int, a1: int, h: int, w: int) -> tuple[int, int]:
         dc -= w
     kh = (r1 - r0) - dr
     mw = (c1 - c0) - dc
-    q0 = c0 - (r0 - (r0 & 1)) // 2
-    q1 = c1 - (r1 - (r1 & 1)) // 2
+    q0, _ = offset_to_axial(r0, c0)
+    q1, _ = offset_to_axial(r1, c1)
     return dr, (q1 - q0) - mw + kh // 2
 
 
@@ -445,8 +446,8 @@ class _Track:
             self.loc.trail_size = len(hits[1])
 
 
-def track(tr: Trajectory, window: int | None = None, p_max: int = 12) -> list[Localization]:
-    """Track localizations over the trailing ``window`` frames of ``tr``.
+def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
+    """Track localizations over the frames of ``tr``.
 
     Components are linked frame to frame when the earlier component's
     one-ring dilation overlaps exactly one successor and nothing else claims
@@ -457,21 +458,18 @@ def track(tr: Trajectory, window: int | None = None, p_max: int = 12) -> list[Lo
     Every component always belongs to exactly one track, so fresh tracks
     start wherever no clean predecessor exists.
 
-    Returns one classified Localization per track.
+    Returns one classified Localization per track; ``first_frame`` counts
+    from ``tr.t0``, so a run trimmed by ``keep_last`` keeps its times.
     """
-    if window is not None and window < 1:
-        raise ValueError("window must be >= 1")
-    frames = tr.frames if window is None else tr.frames[-window:]
-    h, w = frames[0].shape
+    h, w = tr.frames[0].shape
     _require_even_height(h)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    t_offset = tr.t0 + (len(tr.frames) - len(frames))
 
     done: list[Localization] = []
     tracks: dict[int, _Track] = {}
     prev = None
-    for t, grid in enumerate(frames):
+    for t, grid in enumerate(tr.frames, start=tr.t0):
         frame = _scan(grid)
         frame.shapes, frame.anchors = _shapes(frame.cells, frame.states, frame.bounds, h, w)
         if tracks:
@@ -488,7 +486,7 @@ def track(tr: Trajectory, window: int | None = None, p_max: int = 12) -> list[Lo
 
         for idx in range(len(frame)):
             if idx not in next_tracks:
-                next_tracks[idx] = _Track(t_offset + t, p_max, frame, idx)
+                next_tracks[idx] = _Track(t, p_max, frame, idx)
 
         for idx in _clashes(frame, list(next_tracks)):
             done.append(next_tracks.pop(idx).finish("proximity"))

@@ -40,13 +40,28 @@ EVEN_ROW_NEIGHBORS = ((0, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0))
 ODD_ROW_NEIGHBORS = ((0, 1), (1, 1), (1, 0), (0, -1), (-1, 0), (-1, 1))
 
 
+def as_states(values, what: str) -> np.ndarray:
+    """``values`` as a uint8 array of cell states, checked before the cast.
+
+    The cast alone would wrap 258 to 2 and truncate 1.7 to 1, so a float
+    dtype or a value outside 0..2 is a ``ValueError`` naming ``what``.  A
+    uint8 array costs one max() and no copy.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+    if values.max(initial=0) > 2 or (values.dtype.kind == "i" and values.min(initial=0) < 0):
+        raise ValueError(f"{what} must be 0 (S), 1 (A) or 2 (B)")
+    return values.astype(np.uint8, copy=False)
+
+
 def offset_to_axial(r: int, c: int) -> tuple[int, int]:
     """Convert odd-r offset coordinates to axial (q, r).
 
     In axial coordinates the six neighbour offsets are the same for every
     cell, which makes translation arithmetic uniform; the shift that the
     offset representation applies to odd rows disappears.  Works for
-    negative rows too (Python's floor division keeps the formula exact).
+    negative rows (floor division keeps it exact) and on integer arrays.
     """
     return c - (r - (r & 1)) // 2, r
 
@@ -73,13 +88,7 @@ class Grid:
             # Below 3 cells per axis the 7-cell neighbourhood would contain
             # duplicate coordinates, which breaks the counting semantics.
             raise ValueError("grid dimensions must be at least 3x3")
-        # Values are checked before the uint8 cast, which would wrap 258 to
-        # 2 and truncate 1.7 to 1; a uint8 array costs one max() and no copy.
-        if cells.dtype.kind not in "biu":
-            raise ValueError(f"cell values must be integers, got dtype {cells.dtype}")
-        if cells.max() > 2 or (cells.dtype.kind == "i" and cells.min() < 0):
-            raise ValueError("cell values must be 0 (S), 1 (A) or 2 (B)")
-        self.cells = cells.astype(np.uint8, copy=False)
+        self.cells = as_states(cells, "cell values")
 
     # -- construction ------------------------------------------------------
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -46,7 +47,6 @@ class Reaction:
     reactants: dict
     products: dict
     rate: float
-    name: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0):
@@ -131,14 +131,14 @@ class ReactionSystem:
         return "\n".join(format_reaction(rx) for rx in self.reactions)
 
 
-def parse_system(text: str, species=SPECIES) -> ReactionSystem:
+def parse_system(text: str) -> ReactionSystem:
     reactions = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         reactions.append(parse_reaction(line))
-    return ReactionSystem(species, reactions)
+    return ReactionSystem(SPECIES, reactions)
 
 
 def standard_system() -> ReactionSystem:
@@ -376,7 +376,8 @@ def ssa_run(
 ) -> SSAResult:
     """Exact stochastic trajectory by the direct method.
 
-    The state is sampled on the lattice 0, sample_dt, 2*sample_dt, ... t_max
+    ``init`` maps species of ``system`` to integer counts (absent ones start
+    at 0).  The state is sampled on the lattice 0, sample_dt, 2*sample_dt, ... t_max
     (endpoints only when ``sample_dt`` is None).  Termination ``reason``:
     "t_max" when simulated past the horizon, "absorbed" when no channel can
     fire (remaining samples hold the frozen state), "max_events" when the
@@ -389,7 +390,16 @@ def ssa_run(
     if max_events is not None and max_events < 0:
         raise ValueError(f"max_events must be nonnegative, got {max_events!r}")
     species = system.species
-    n = [int(init.get(sp, 0)) for sp in species]
+    unknown = set(init) - set(species)
+    if unknown:
+        raise ValueError(f"init names species the system lacks: {sorted(map(str, unknown))}")
+    n = []
+    for sp in species:
+        try:
+            n.append(operator.index(init.get(sp, 0)))
+        except TypeError:
+            count = init[sp]
+            raise ValueError(f"initial count of {sp} must be an integer, got {count!r}") from None
     if min(n) < 0:
         raise ValueError("initial counts must be nonnegative")
     if omega is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hexgrid import CellState
+from .hexgrid import CellState, as_states
 
 #: All meaningful (i, j) index pairs in canonical genome order.
 PAIRS: tuple[tuple[int, int], ...] = tuple(
@@ -42,11 +42,10 @@ class RuleMatrix:
 
     def __init__(self, entries):
         """Build from a length-36 sequence of states in canonical order."""
-        genome = np.asarray(entries, dtype=np.uint8)
+        genome = np.asarray(entries)
         if genome.shape != (GENOME_LENGTH,):
             raise ValueError(f"rule needs exactly {GENOME_LENGTH} entries")
-        if genome.max(initial=0) > 2:
-            raise ValueError("rule entries must be 0 (S), 1 (A) or 2 (B)")
+        genome = as_states(genome, "rule entries")
         if genome[0] != CellState.S:
             raise ValueError("the empty neighbourhood (0, 0) must map to S")
         genome.setflags(write=False)
@@ -116,22 +115,10 @@ class RuleMatrix:
         return f"RuleMatrix({self.to_genome()!r})"
 
 
-def random_rule(rng: np.random.Generator, allowed=None) -> RuleMatrix:
-    """Draw a rule uniformly, optionally constrained per entry.
-
-    ``allowed`` maps (i, j) pairs to an iterable of permitted states; entries
-    not mentioned are drawn uniformly from all three states.  (0, 0) is always
-    forced to S.
-    """
+def random_rule(rng: np.random.Generator) -> RuleMatrix:
+    """Draw a rule uniformly: every entry S, A or B alike, (0, 0) forced to S."""
     entries = rng.integers(0, 3, size=GENOME_LENGTH)
     entries[0] = 0
-    if allowed:
-        for pair, states in allowed.items():
-            choices = sorted(int(s) for s in states)
-            if not choices:
-                raise ValueError(f"empty choice set for {pair}")
-            entries[PAIR_INDEX[pair]] = choices[int(rng.integers(len(choices)))]
-        entries[0] = 0
     return RuleMatrix(entries)
 
 

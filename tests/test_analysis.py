@@ -493,7 +493,7 @@ def test_reference_class_contains_a_verified_glider_rule():
     assert genome in {row.genome for row in an.reference_class_mobile()}
 
     shape = ((0, 0, 1), (1, 0, 1), (2, 0, 2), (3, -1, 1), (4, -2, 1))
-    lone = run(an._materialize_shape(shape, 48), RuleMatrix.from_genome(genome), 60)
+    lone = run(an._materialize_shape(shape), RuleMatrix.from_genome(genome), 60)
     locs = track(lone, p_max=12)
     assert [l.loc_class for l in locs] == [GLIDER]
     assert locs[0].first_frame == 0 and locs[0].frames == 61

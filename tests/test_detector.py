@@ -303,19 +303,15 @@ def test_track_rejects_odd_height():
 
 
 def test_track_windows_the_trailing_frames():
-    frames = [grid_with(12, 12, TRIPLE) for _ in range(9)]
-    tr = Trajectory(frames, t0=100)
-    locs = track(tr, window=4)
-    assert len(locs) == 1
-    assert locs[0].frames == 4
-    assert locs[0].first_frame == 105
-
-
-def test_track_rejects_a_nonpositive_window():
-    frames = [grid_with(12, 12, TRIPLE) for _ in range(11)]
-    for window in (0, -3):
-        with pytest.raises(ValueError, match="window"):
-            track(make_trajectory(frames), window=window)
+    # a run trimmed by keep_last tracks the whole run's tail, and first_frame
+    # counts from the trimmed trajectory's t0
+    seed, rule = bundled_glider_seed(), bundled_glider_rule()
+    tail = track(run(seed, rule, 30, keep_last=7))
+    whole = track(run(seed, rule, 30))
+    assert [l.loc_class for l in tail] == [l.loc_class for l in whole] == [GLIDER]
+    assert (tail[0].first_frame, tail[0].frames) == (24, 7)
+    assert tail[0].shapes == whole[0].shapes[-7:]
+    assert track(Trajectory([grid_with(12, 12, TRIPLE)] * 3, t0=100))[0].first_frame == 100
 
 
 def test_classify_requires_two_full_periods():

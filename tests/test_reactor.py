@@ -242,6 +242,31 @@ def test_run_input_validation():
 
 
 @pytest.mark.parametrize(
+    "init, message",
+    [
+        ({"a": 100, "B": 50}, r"init names species the system lacks: \['a'\]"),
+        ({"A": 10, "X": 1, "Y": 2}, r"\['X', 'Y'\]"),
+        ({"A": 10.9}, "initial count of A must be an integer, got 10.9"),
+        ({"B": 5.0}, "initial count of B must be an integer, got 5.0"),
+        ({"S": "7"}, "initial count of S must be an integer"),
+    ],
+    ids=["lowercase-name", "two-unknown-names", "fraction", "integral-float", "string"],
+)
+def test_run_rejects_unknown_species_and_non_integer_counts(init, message):
+    # before the check, "a" started A at 0 and 10.9 started A at 10
+    with pytest.raises(ValueError, match=message):
+        rc.ssa_run(rc.standard_system(), init, 1.0, np.random.default_rng(0))
+
+
+def test_run_takes_numpy_integer_counts():
+    init = {"A": 200, "B": 200, "S": 200}
+    as_numpy = {sp: np.int64(v) for sp, v in init.items()}
+    a = rc.ssa_run(rc.standard_system(), init, 2.0, np.random.default_rng(3))
+    b = rc.ssa_run(rc.standard_system(), as_numpy, 2.0, np.random.default_rng(3))
+    assert a.events == b.events and np.array_equal(a.counts, b.counts)
+
+
+@pytest.mark.parametrize(
     "kw, message",
     [
         (dict(t_max=math.nan), "t_max must be positive and finite"),
