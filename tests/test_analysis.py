@@ -570,6 +570,15 @@ def test_census_row_csv_round_trip():
         an.census_from_csv("genome\n")
 
 
+def test_census_to_csv_writes_the_fixture_byte_for_byte():
+    # the header's protocol text, the replant torus size included, comes from
+    # the config and analysis.LONE_SIZE; the fixture's bytes must not move
+    text = an._fixture_text("reference_class_mobile.csv")
+    command = next(l for l in text.splitlines() if l.startswith("# Regenerate: "))
+    rows = an.census_from_csv(text)
+    assert an.census_to_csv(rows, FIXTURE_CFG, command[len("# Regenerate: "):]) == text
+
+
 def test_class_census_rejects_zero_trials():
     with pytest.raises(ValueError):
         an.class_census(an.reference_reduced_set(), replace(CENSUS_CFG, trials=0), [0])
