@@ -27,7 +27,7 @@ rule = an.bundled_glider_rule()
 seed = an.bundled_glider_seed()
 traj = run(seed, rule, 12)
 loc = track(traj, p_max=12)[0]
-needed = an.necessary_transitions(rule, loc, traj)
+needed = an.necessary_transitions(loc, traj)
 print(f"bundled glider: period {loc.period}, displacement {loc.displacement}")
 print(f"signatures exercised over one period: {sorted(needed)}")
 print(f"-> {len(needed)} of 36 entries are load-bearing; the other"

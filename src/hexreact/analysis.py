@@ -137,9 +137,7 @@ def compute_likelihoods(corpus) -> LikelihoodMatrices:
 # -- necessary transitions -------------------------------------------------------
 
 
-def necessary_transitions(
-    rule: RuleMatrix, glider: Localization, tr: Trajectory
-) -> set[tuple[int, int]]:
+def necessary_transitions(glider: Localization, tr: Trajectory) -> set[tuple[int, int]]:
     """Signatures a lone glider exercises over one full period.
 
     ``tr`` must hold the glider travelling alone through substrate for at
@@ -177,7 +175,7 @@ class GliderTrace:
     loc: Localization
 
     def necessary(self) -> set[tuple[int, int]]:
-        return necessary_transitions(self.rule, self.loc, self.trajectory)
+        return necessary_transitions(self.loc, self.trajectory)
 
 
 # side of the empty square torus a glider is replanted on

@@ -13,20 +13,18 @@ on which row parity it happens to occupy).  Canonical shapes are therefore
 placement-independent, and displacements come out as exact integer vectors
 ``(dr, dc)`` where ``dc`` counts axial columns.
 
-Each frame goes through one array pass (``_scan`` and ``_shapes``): component
-labels by root hooking over the neighbour table, every component's sorted
-cells, states and one-ring dilation from sorts of (component, cell) keys,
-and every canonical shape and anchor from one sort of (component, row,
-axial column) keys.  Shapes need coordinates free of the torus wrap.  A
-component that does not touch both row 0 and row h-1, nor both column 0 and
-column w-1, cannot use a seam edge, so its torus coordinates serve as they
-are; one that does is first shifted by an even number of rows and any
-number of columns so that an empty row and an empty column of it lie on
-the seams.  Only a component that occupies every row or every column, and
-so may wrap around the torus, is lifted by the BFS of ``_unwrap``.
+``track`` cuts the frames into blocks of up to ``_BLOCK_CELLS`` non-S cells
+and runs one array pass per block (``_scan``).  Cells are keyed
+``t * h * w + cell``, so no component crosses frames.  The pass labels
+components by root hooking over the neighbour table, takes every component's
+sorted cells, states and one-ring dilation from sorts of (component, cell)
+keys, and every canonical shape and anchor from one sort of (component, row,
+axial column) keys, on coordinates ``_lift`` frees from the torus wrap.
 ``track`` links and checks proximity frame to frame with array operations
-over the same pass.  ``extract_components`` returns ``_scan``'s components,
-and ``canonical_shape`` runs ``_shapes`` on one of them.
+over each frame's views of its block, and a component that lives one frame
+gets its Localization without a ``_Track``.  ``extract_components`` is the
+pass over a one-frame block, and ``canonical_shape`` runs ``_shapes`` on one
+component.
 
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
@@ -35,6 +33,7 @@ relies on row wraps preserving parity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +56,9 @@ PUFFER_TRAIN = "PufferTrain"
 UNRESOLVED = "Unresolved"
 CLASSES = (STILL_LIFE, OSCILLATOR, GLIDER, PUFFER_TRAIN, UNRESOLVED)
 MOBILE_CLASSES = (GLIDER, PUFFER_TRAIN)
+
+# non-S cells per block of frames ``track`` scans at once; one block per window peaks higher
+_BLOCK_CELLS = 8192
 
 
 def _require_even_height(h: int) -> None:
@@ -89,8 +91,8 @@ class _Frame:
     ``cells[bounds[k]:bounds[k + 1]]`` (sorted) with ``states`` aligned, and
     ``dilated[dil_bounds[k]:dil_bounds[k + 1]]`` (sorted), and ``dil_comp``
     names the component of each dilated entry.  ``labels`` maps every flat
-    cell to its component, or -1 on substrate.  ``track`` adds each
-    component's canonical ``shapes`` and torus ``anchors`` (see ``_shapes``).
+    cell to its component, or -1 on substrate.  ``shapes`` and ``anchors``
+    hold each component's canonical shape and torus anchor (see ``_shapes``).
     """
 
     __slots__ = ("cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels",
@@ -98,16 +100,6 @@ class _Frame:
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
-
-
-def _component(frame: _Frame, k: int) -> Component:
-    """Component ``k`` of ``frame``, as views into the frame's arrays."""
-    lo, hi = frame.bounds[k], frame.bounds[k + 1]
-    return Component(
-        cells=frame.cells[lo:hi],
-        states=frame.states[lo:hi],
-        dilated=frame.dilated[frame.dil_bounds[k] : frame.dil_bounds[k + 1]],
-    )
 
 
 def _roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -145,45 +137,73 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _scan(grid: Grid) -> _Frame:
-    """Label, group and dilate every component of ``grid`` in one pass."""
-    h, w = grid.shape
+def _scan(block: np.ndarray) -> list[_Frame]:
+    """Every frame of ``block``, shape ``(frames, h, w)``, from one array pass.
+
+    Cells are keyed ``t * h * w + cell``, so no component crosses frames.
+    Each frame gets views of the block's arrays, its components counted from 0.
+    """
+    nf, h, w = block.shape
     _require_even_height(h)
-    flat = grid.cells.ravel()
+    size = h * w
+    flat = block.ravel()
     table = neighbor_table(h, w)
     nz = np.flatnonzero(flat)
     n = len(nz)
-    labels = np.full(h * w, -1, dtype=np.int64)
+    labels = np.full(nf * size, -1, dtype=np.int64)
     labels[nz] = np.arange(n)
-    around = labels[table[nz, 1:]]
+    base = nz - nz % size
+    around = labels[base[:, None] + table[nz - base, 1:]]
     edge = around > np.arange(n)[:, None]  # symmetric table: one direction suffices
     root = _roots(np.nonzero(edge)[0], around[edge], n)
 
     is_root = root == np.arange(n)
     comp = (np.cumsum(is_root) - 1)[root]
     count = int(is_root.sum())
-    labels[nz] = comp
-    frame = _Frame()
-    frame.labels = labels
-    comp, frame.cells = np.divmod(np.sort(comp * (h * w) + nz), h * w)
-    frame.states = flat[frame.cells]
-    frame.bounds = np.searchsorted(comp, np.arange(count + 1))
-    keys = _unique(comp[:, None] * (h * w) + table[frame.cells])
-    frame.dil_comp, frame.dilated = np.divmod(keys, h * w)
-    frame.dil_bounds = np.searchsorted(frame.dil_comp, np.arange(count + 1))
-    return frame
+    first = np.searchsorted(nz[is_root], np.arange(nf + 1) * size)  # each frame's first component
+    labels[nz] = comp - first[nz // size]
+    comp, key = np.divmod(np.sort(comp * (nf * size) + nz), nf * size)
+    cells, states = key % size, flat[key]
+    bounds = np.searchsorted(comp, np.arange(count + 1))
+    dil_comp, dilated = np.divmod(_unique(comp[:, None] * size + table[cells]), size)
+    dil_bounds = np.searchsorted(dil_comp, np.arange(count + 1))
+    shapes, anchors = _shapes(cells, states, bounds, h, w)
+    frames = [_Frame() for _ in range(nf)]
+    for t, (frame, c0, c1) in enumerate(zip(frames, first.tolist(), first[1:].tolist())):
+        lo, hi, dlo, dhi = bounds[c0], bounds[c1], dil_bounds[c0], dil_bounds[c1]
+        frame.cells, frame.states = cells[lo:hi], states[lo:hi]
+        frame.bounds, frame.dil_bounds = bounds[c0 : c1 + 1] - lo, dil_bounds[c0 : c1 + 1] - dlo
+        frame.dilated, frame.dil_comp = dilated[dlo:dhi], dil_comp[dlo:dhi] - c0
+        frame.labels = labels[t * size : (t + 1) * size]
+        frame.shapes, frame.anchors = shapes[c0:c1], anchors[c0:c1]
+    return frames
+
+
+def _frames(tr: Trajectory):
+    """``tr``'s frames, scanned in blocks of up to ``_BLOCK_CELLS`` non-S cells or of one frame."""
+    stack = np.stack([grid.cells for grid in tr.frames])
+    ends = np.cumsum(np.count_nonzero(stack, axis=(1, 2))).tolist()
+    start = 0
+    while start < len(stack):
+        stop = bisect_right(ends, (ends[start - 1] if start else 0) + _BLOCK_CELLS, lo=start + 1)
+        yield from _scan(stack[start:stop])
+        start = stop
 
 
 def extract_components(grid: Grid) -> list[Component]:
     """Partition the non-S cells of ``grid`` into connected components.
 
     6-neighbour adjacency on the torus, labelled for the whole frame at once
-    by ``_scan``, the pass ``track`` runs.  Components come back ordered by
-    their smallest flat index, so the result is deterministic.  Requires an
-    even grid height.
+    by ``_scan``, the pass ``track`` runs, on a block of this one frame.
+    Components come back ordered by their smallest flat index, so the result
+    is deterministic.  Requires an even grid height.
     """
-    frame = _scan(grid)
-    return [_component(frame, k) for k in range(len(frame))]
+    frame = _scan(grid.cells[None])[0]
+    b, d = frame.bounds.tolist(), frame.dil_bounds.tolist()
+    return [
+        Component(frame.cells[lo:hi], frame.states[lo:hi], frame.dilated[dlo:dhi])
+        for lo, hi, dlo, dhi in zip(b, b[1:], d, d[1:])
+    ]
 
 
 # -- canonical shapes --------------------------------------------------------
@@ -416,15 +436,6 @@ class _Track:
         self.loc.anchors.append((ar + dr, aq + dq))
         self.places.append((frame, k))
 
-    def finish(self, reason: str | None) -> Localization:
-        self.loc.terminated = reason
-        last = _component(*self.places[-1])
-        self.loc.cells_last = last.cells
-        self.loc.states_last = last.states
-        self._measure_trail()
-        self.places = []  # let go of the frames' arrays
-        return self.loc
-
     def _measure_trail(self) -> None:
         """Persistent non-S debris inside the corridor this track swept.
 
@@ -435,15 +446,28 @@ class _Track:
         """
         if len(self.places) < 3:
             return
-        corridor = np.concatenate([_component(*p).dilated for p in self.places[:-1]])
-        hits = []
-        for frame, k in self.places[-2:]:
-            near_head = np.isin(frame.cells, _component(frame, k).dilated)
-            in_corridor = np.isin(frame.cells, corridor)
-            hits.append(frame.cells[in_corridor & ~near_head])
-        if len(hits[0]) and len(hits[1]):
+        swept = np.zeros(len(self.places[0][0].labels), dtype=bool)
+        for frame, k in self.places[:-1]:
+            swept[frame.dilated[frame.dil_bounds[k] : frame.dil_bounds[k + 1]]] = True
+        # the only non-S cells inside the head's dilation are the head's own
+        hits = [swept[f.cells] & (f.labels[f.cells] != k) for f, k in self.places[-2:]]
+        if hits[0].any() and hits[1].any():
             self.loc.has_trail = True
-            self.loc.trail_size = len(hits[1])
+            self.loc.trail_size = int(hits[1].sum())
+
+
+def _finish(trk: _Track | None, t: int, p_max: int, frame: _Frame, k: int, reason) -> Localization:
+    """End the track last on component ``k`` of ``frame``: ``trk``, or when that is None,
+    a track that lives on ``frame`` (time ``t``) alone."""
+    if trk is None:
+        loc = Localization(t, [frame.shapes[k]], [(0, 0)], p_max=p_max)
+    else:
+        trk._measure_trail()
+        loc = trk.loc
+    lo, hi = frame.bounds[k], frame.bounds[k + 1]
+    loc.cells_last, loc.states_last = frame.cells[lo:hi], frame.states[lo:hi]
+    loc.terminated = reason
+    return loc
 
 
 def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
@@ -467,33 +491,33 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
         raise ValueError("p_max must be >= 1")
 
     done: list[Localization] = []
-    tracks: dict[int, _Track] = {}
+    tracks: dict[int, _Track | None] = {}  # None: a track still on its first frame
     prev = None
-    for t, grid in enumerate(tr.frames, start=tr.t0):
-        frame = _scan(grid)
-        frame.shapes, frame.anchors = _shapes(frame.cells, frame.states, frame.bounds, h, w)
+    for t, frame in enumerate(_frames(tr), start=tr.t0):
         if tracks:
             nsucc, succ, nclaim = _links(prev, frame, list(tracks))
 
-        next_tracks: dict[int, _Track] = {}
+        next_tracks: dict[int, _Track | None] = {}
         for prev_idx, trk in tracks.items():
             n, idx = nsucc[prev_idx], succ[prev_idx]
             if n == 1 and nclaim[idx] == 1:
+                if trk is None:
+                    trk = _Track(t - 1, p_max, prev, prev_idx)
                 trk.extend(frame, idx, h, w)
                 next_tracks[idx] = trk
             else:  # died out (still classifiable), merged into another, or split
-                done.append(trk.finish(None if n == 0 else "merge" if n == 1 else "split"))
+                reason = None if n == 0 else "merge" if n == 1 else "split"
+                done.append(_finish(trk, t - 1, p_max, prev, prev_idx, reason))
 
         for idx in range(len(frame)):
-            if idx not in next_tracks:
-                next_tracks[idx] = _Track(t, p_max, frame, idx)
+            next_tracks.setdefault(idx, None)
 
         for idx in _clashes(frame, list(next_tracks)):
-            done.append(next_tracks.pop(idx).finish("proximity"))
+            done.append(_finish(next_tracks.pop(idx), t, p_max, frame, idx, "proximity"))
         tracks = next_tracks
         prev = frame
 
-    done.extend(trk.finish(None) for trk in tracks.values())
+    done.extend(_finish(trk, t, p_max, prev, idx, None) for idx, trk in tracks.items())
     done.sort(key=lambda l: l.first_frame)  # stable: frame order, then discovery order
     for loc in done:
         classify(loc)

@@ -136,6 +136,8 @@ class Trajectory:
     def __init__(self, frames: list[Grid], t0: int = 0):
         if not frames:
             raise ValueError("a trajectory needs at least one frame")
+        if any(frame.shape != frames[0].shape for frame in frames):
+            raise ValueError("trajectory frames must all have one shape")
         self.frames = frames
         self.t0 = t0
 

@@ -313,8 +313,8 @@ def test_bundled_seed_travels_as_clean_glider():
 
 
 def test_necessary_transitions_of_bundled_glider():
-    rule, traj, locs = lone_glider_run()
-    needed = an.necessary_transitions(rule, locs[0], traj)
+    _, traj, locs = lone_glider_run()
+    needed = an.necessary_transitions(locs[0], traj)
     assert (0, 0) in needed
     assert 1 < len(needed) < 36
     for i, j in needed:
@@ -338,7 +338,7 @@ def test_necessary_transitions_stable_across_period_phases():
     for phase in range(2):
         traj = run(grid, rule, 30)
         loc = track(traj, p_max=12)[0]
-        sets.append(an.necessary_transitions(rule, loc, traj))
+        sets.append(an.necessary_transitions(loc, traj))
         grid = step(grid, rule)
     assert sets[0] == sets[1]
 
@@ -352,14 +352,13 @@ def test_necessary_transitions_of_a_lone_still_cell():
     traj = Trajectory([grid, grid, grid])
     loc = track(traj, p_max=2)[0]
     assert loc.loc_class == "StillLife"
-    rule = RuleMatrix.from_entries({(1, 0): 1})
-    assert an.necessary_transitions(rule, loc, traj) == {(0, 0), (1, 0)}
+    assert an.necessary_transitions(loc, traj) == {(0, 0), (1, 0)}
 
 
 def test_flipping_redundant_entries_preserves_the_glider():
     rule, traj, locs = lone_glider_run()
     loc = locs[0]
-    needed = an.necessary_transitions(rule, loc, traj)
+    needed = an.necessary_transitions(loc, traj)
     p = loc.period
     redundant = [pair for pair in PAIRS if pair not in needed]
     seed = an.bundled_glider_seed()
@@ -378,7 +377,7 @@ def test_flipping_redundant_entries_preserves_the_glider():
 def test_flipping_necessary_entries_disturbs_the_glider():
     rule, traj, locs = lone_glider_run()
     loc = locs[0]
-    needed = an.necessary_transitions(rule, loc, traj)
+    needed = an.necessary_transitions(loc, traj)
     p = loc.period
     seed = an.bundled_glider_seed()
     for pair in sorted(needed - {(0, 0)}):
@@ -393,31 +392,31 @@ def test_flipping_necessary_entries_disturbs_the_glider():
 
 
 def test_necessary_transitions_rejects_short_trajectory():
-    rule, traj, locs = lone_glider_run()
+    _, traj, locs = lone_glider_run()
     short = Trajectory(traj.frames[:1])
     with pytest.raises(ValueError):
-        an.necessary_transitions(rule, locs[0], short)
+        an.necessary_transitions(locs[0], short)
 
 
 def test_necessary_transitions_rejects_seam_contact():
-    rule, traj, locs = lone_glider_run()
+    _, traj, locs = lone_glider_run()
     loc = locs[0]
     cells = traj.frames[0].cells
     rows = np.nonzero(cells.any(axis=1))[0]
     shifted = Grid(np.roll(cells, -int(rows.min()), axis=0))
     bad = Trajectory([shifted] * (loc.period + 1))
     with pytest.raises(ValueError):
-        an.necessary_transitions(rule, loc, bad)
+        an.necessary_transitions(loc, bad)
 
 
 def test_necessary_transitions_rejects_debris():
-    rule, traj, locs = lone_glider_run()
+    _, traj, locs = lone_glider_run()
     loc = locs[0]
     messy = traj.frames[0].copy()
     messy[40, 40] = 1  # far-away second component
     bad = Trajectory([messy] * (loc.period + 1))
     with pytest.raises(ValueError):
-        an.necessary_transitions(rule, loc, bad)
+        an.necessary_transitions(loc, bad)
 
 
 def test_necessary_transitions_requires_period():
@@ -427,7 +426,7 @@ def test_necessary_transitions_requires_period():
     locs = track(traj, p_max=12)  # 3 frames: too short to classify
     assert locs[0].period is None
     with pytest.raises(ValueError):
-        an.necessary_transitions(rule, locs[0], traj)
+        an.necessary_transitions(locs[0], traj)
 
 
 def test_find_glider_recovers_bundled_rule():

@@ -139,6 +139,19 @@ def test_trajectory_needs_frames():
         Trajectory([])
 
 
+@pytest.mark.parametrize("other", [(8, 16), (16, 8)])
+def test_trajectory_rejects_frames_of_mixed_shapes(other):
+    # the tracker reads every frame's flat indices against frame 0's size:
+    # these alternations once came out as a Glider and a StillLife
+    frames = []
+    for shape in [(8, 8), other] * 2:
+        grid = Grid.filled(*shape)
+        grid[2, 2] = grid[2, 3] = 1
+        frames.append(grid)
+    with pytest.raises(ValueError, match="one shape"):
+        Trajectory(frames)
+
+
 def test_some_rule_supports_a_small_oscillator():
     # Search seeded sparse rules (mostly-S entries keep dynamics local) for a
     # two-frame cycle reachable from a single reactant.  Uniformly random

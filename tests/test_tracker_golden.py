@@ -11,18 +11,29 @@ with
 
     PYTHONPATH=src python tests/test_tracker_golden.py
 
-The second half checks ``extract_components`` and ``canonical_shape`` on
-random small tori against an oracle that lives only here: a torus BFS over
-``hexgrid.neighborhood`` for components and dilations, a BFS lift from each
-component's smallest cell for shapes and anchors, and the shapes of
-translated copies.
+The digests must not depend on how ``track`` cuts the frames into blocks
+for its array pass: the cases are also tracked one frame per block and with
+the whole window in one block.  A property test checks every per-frame field
+of the pass, for every cut of a few random frames into blocks, against the
+pass over that frame alone.
+
+The second half checks ``extract_components`` and ``canonical_shape`` (the
+one-frame pass) on random small tori against an oracle that lives only here:
+a torus BFS over ``hexgrid.neighborhood`` for components and dilations, a BFS
+lift from each component's smallest cell for shapes and anchors, and the
+shapes of translated copies.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hexreact import detector
 from hexreact.analysis import bundled_glider_rule, bundled_glider_seed
 from hexreact.detector import (
     PUFFER_TRAIN,
@@ -100,6 +111,65 @@ def localizations_digest(locs) -> str:
 def test_golden_tracker_outputs(name):
     locs = track(CASES[name]())
     assert localizations_digest(locs) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("budget", [0, 10**9], ids=["frame-per-block", "one-block"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_tracker_outputs_do_not_depend_on_blocks(name, budget, monkeypatch):
+    scan, blocks = detector._scan, []
+
+    def spy(block):
+        blocks.append(len(block))
+        return scan(block)
+
+    monkeypatch.setattr(detector, "_BLOCK_CELLS", budget)
+    monkeypatch.setattr(detector, "_scan", spy)
+    tr = CASES[name]()
+    assert localizations_digest(track(tr)) == GOLDEN[name]
+    assert blocks == ([1] * len(tr) if budget == 0 else [len(tr)])
+
+
+# -- the block pass ------------------------------------------------------------
+
+FRAME_FIELDS = (
+    "cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels", "shapes", "anchors"
+)
+
+
+@st.composite
+def frame_stacks(draw):
+    """A few frames of one even-height torus: empty, full, sparse or dense ones."""
+    h, w = 2 * draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    kinds = [st.just(0), st.integers(1, 2), st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, 2)]
+    states = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
+    return np.stack([draw(arrays(np.uint8, (h, w), elements=s, fill=st.nothing())) for s in states])
+
+
+def _same_frame(got, want) -> None:
+    for name in FRAME_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, list):
+            assert a == b, name
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+_RING = np.zeros((4, 6), dtype=np.uint8)
+_RING[1] = 2  # one row all the way around the torus
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(frame_stacks())
+@example(np.stack([np.zeros_like(_RING), np.ones_like(_RING), _RING, np.zeros_like(_RING)]))
+def test_block_pass_matches_the_one_frame_pass_for_every_cut(stack):
+    alone = [detector._scan(frame[None])[0] for frame in stack]
+    for cuts in itertools.product([False, True], repeat=len(stack) - 1):
+        edges = [0] + [t + 1 for t, cut in enumerate(cuts) if cut] + [len(stack)]
+        frames = [f for a, b in zip(edges, edges[1:]) for f in detector._scan(stack[a:b])]
+        assert len(frames) == len(stack)
+        for got, want in zip(frames, alone):
+            _same_frame(got, want)
+
 
 
 # -- oracle ----------------------------------------------------------------------
