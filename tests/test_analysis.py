@@ -291,6 +291,11 @@ def test_guided_rule_respects_hard_statistics():
         an.guided_rule(m, rng, background=(0.9, 0.2, 0.2))
 
 
+def test_guided_rule_on_the_reference_tables_is_pinned():
+    rule = an.guided_rule(an.reference_likelihoods(), np.random.default_rng(0))
+    assert rule.to_genome() == "SSSSSSASAABSSSSASASSSSSSSSSBBSSSSSSS"
+
+
 # -- the bundled glider rule ---------------------------------------------------------
 
 
