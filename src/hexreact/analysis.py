@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,19 +213,16 @@ def replant_glider(rule: RuleMatrix, shape, p_max: int = 12) -> GliderTrace | No
 
 
 def find_glider(
-    rule: RuleMatrix,
-    cfg: FitnessConfig,
-    rng: np.random.Generator,
-    max_trials: int = 20,
+    rule: RuleMatrix, cfg: FitnessConfig, rng: np.random.Generator
 ) -> GliderTrace | None:
     """Hunt a verified lone glider for ``rule``, or None.
 
-    Random soups are run and tracked until some track classifies as a
-    glider whose last shape passes ``replant_glider``; that lone run is the
+    Up to ``cfg.trials`` random soups (5 by default; ``hexreact likelihood``
+    runs 20) are run and tracked until some track classifies as a glider
+    whose last shape passes ``replant_glider``; that lone run is the
     returned trace.
     """
-    seeds = rng.integers(0, 2**63, size=max_trials)
-    for seed in seeds:
+    for seed in rng.integers(0, 2**63, size=cfg.trials):
         for loc in soup_localizations(rule, cfg, int(seed)):
             if loc.loc_class != GLIDER:
                 continue
@@ -237,21 +233,18 @@ def find_glider(
 
 
 def corpus_likelihoods(
-    rules,
-    cfg: FitnessConfig,
-    rng: np.random.Generator,
-    max_trials: int = 20,
+    rules, cfg: FitnessConfig, rng: np.random.Generator
 ) -> tuple[LikelihoodMatrices, list[RuleMatrix], list[RuleMatrix]]:
     """Build likelihood tables from rules by hunting each rule's glider.
 
     Returns (matrices, used, skipped): rules where no verified lone glider
-    was found within the trial budget contribute nothing and are reported in
-    ``skipped``.
+    was found within ``cfg.trials`` soups contribute nothing and are
+    reported in ``skipped``.
     """
     entries = []
     used, skipped = [], []
     for rule in rules:
-        trace = find_glider(rule, cfg, rng, max_trials=max_trials)
+        trace = find_glider(rule, cfg, rng)
         if trace is None:
             skipped.append(rule)
             continue
@@ -262,28 +255,27 @@ def corpus_likelihoods(
     return compute_likelihoods(entries), used, skipped
 
 
-def guided_rule(
-    matrices: LikelihoodMatrices,
-    rng: np.random.Generator,
-    background: tuple[float, float, float] = (0.9, 0.05, 0.05),
-) -> RuleMatrix:
+# S, A, B weights for the mass a guided rule draws where the corpus says an
+# entry is redundant: mostly quiescent, which keeps soups from exploding
+_GUIDED_BACKGROUND = (0.9, 0.05, 0.05)
+
+
+def guided_rule(matrices: LikelihoodMatrices, rng: np.random.Generator) -> RuleMatrix:
     """Draw a random rule biased by likelihood tables.
 
-    Each entry samples a state with probability ``Fz + Fhash * background[z]``:
+    Each entry samples state z with probability ``Fz + Fhash * background[z]``:
     where the corpus says a transition matters, follow its state statistics;
-    where it is mostly redundant, fall back to the background mix (defaulting
-    to quiescent, which keeps soups from exploding).  Entry (0, 0) stays S.
+    where it is mostly redundant, fall back to the background mix
+    (``_GUIDED_BACKGROUND``, mostly quiescent).  Entry (0, 0) stays S.
     """
-    if abs(sum(background) - 1) > 1e-9:
-        raise ValueError("background weights must sum to 1")
     entries = [0] * 36
     for k in range(1, 36):
         h = matrices.fhash[k]
         weights = np.array(
             [
-                matrices.fs[k] + h * background[0],
-                matrices.fa[k] + h * background[1],
-                matrices.fb[k] + h * background[2],
+                matrices.fs[k] + h * _GUIDED_BACKGROUND[0],
+                matrices.fa[k] + h * _GUIDED_BACKGROUND[1],
+                matrices.fb[k] + h * _GUIDED_BACKGROUND[2],
             ]
         )
         weights = np.clip(weights, 0, None)
@@ -294,28 +286,22 @@ def guided_rule(
 # -- symmetrization and reduction --------------------------------------------------
 
 
-def symmetrize(
-    f1: np.ndarray, f2: np.ndarray, eps: float, mode: str = "mean"
-) -> tuple[np.ndarray, np.ndarray]:
+def symmetrize(f1: np.ndarray, f2: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Couple two tables across the A<->B exchange (i, j) <-> (j, i).
 
     Wherever ``|f1[i,j] - f2[j,i]| < eps`` the two entries are replaced by
-    their arithmetic mean ("mean" mode) or by the floor of the mean ("floor"
-    mode -- destructive on values below 1, kept for comparison runs).
-    Entries further apart than eps are left alone.  Idempotent.
+    their arithmetic mean; entries further apart than eps are left alone.
+    Idempotent.  (The floor of the mean is no coupling: the floor of a mean
+    of two likelihoods in [0, 1] is 0 unless both are 1.)
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if mode not in ("mean", "floor"):
-        raise ValueError(f"unknown mode {mode!r}")
     out1 = np.array(f1, dtype=float)
     out2 = np.array(f2, dtype=float)
     for (i, j), k in PAIR_INDEX.items():
         m = PAIR_INDEX[(j, i)]
         if abs(out1[k] - out2[m]) < eps:
             v = (out1[k] + out2[m]) / 2
-            if mode == "floor":
-                v = float(math.floor(v))
             out1[k] = v
             out2[m] = v
     return out1, out2
@@ -380,11 +366,7 @@ class ReducedRuleSet:
 
 
 def reduce_likelihoods(
-    matrices: LikelihoodMatrices,
-    theta: float = 0.2,
-    eps: float = 0.1,
-    mode: str = "mean",
-    floor: float | None = None,
+    matrices: LikelihoodMatrices, theta: float = 0.2, eps: float = 0.1
 ) -> ReducedRuleSet:
     """Distil likelihood tables into the set-valued stationary rule table.
 
@@ -395,7 +377,7 @@ def reduce_likelihoods(
 
     The A and B tables are first symmetrized (tolerance ``eps``).  A state
     then survives at signature (i, j) when its likelihood both clears the
-    negligibility floor (default: ``eps``) and comes within ``theta`` of the
+    negligibility floor ``eps`` and comes within ``theta`` of the
     strongest state there.  Signatures where nothing survives fall back to
     {S}, as do (0, 5) and (1, 4) on the B side, whose raw counts are noise.
     The subtraction is rounded to 9 decimals so that borderline likelihood
@@ -403,8 +385,7 @@ def reduce_likelihoods(
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    floor = eps if floor is None else floor
-    fa, fb = symmetrize(matrices.fa, matrices.fb, eps, mode)
+    fa, fb = symmetrize(matrices.fa, matrices.fb, eps)
     allowed = {}
     for (i, j), k in PAIR_INDEX.items():
         votes = {0: float(matrices.fs[k]), 1: float(fa[k]), 2: float(fb[k])}
@@ -412,7 +393,7 @@ def reduce_likelihoods(
         states = {
             z
             for z, v in votes.items()
-            if v >= floor and round(top - v, 9) < theta
+            if v >= eps and round(top - v, 9) < theta
         }
         if (i, j) in ((0, 5), (1, 4)):
             states.discard(2)

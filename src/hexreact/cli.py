@@ -51,6 +51,7 @@ _FITNESS_HELP = {
     "p_b": "per-cell probability of seeding state B",
     "window": "trailing frames kept for detection",
     "p_max": "largest period the tracker will certify",
+    "trials": "random soups per rule (likelihood stops at a rule's first verified glider)",
 }
 
 
@@ -156,9 +157,7 @@ def cmd_likelihood(args) -> int:
         raise ValueError(f"{args.corpus}: no rules found")
     cfg = _fitness_config(args)
     rng = np.random.default_rng(args.seed)
-    matrices, used, skipped = analysis.corpus_likelihoods(
-        rules, cfg, rng, max_trials=args.max_trials
-    )
+    matrices, used, skipped = analysis.corpus_likelihoods(rules, cfg, rng)
     _write(args.out, matrices.to_csv())
     if args.heatmap_dir:
         os.makedirs(args.heatmap_dir, exist_ok=True)
@@ -173,9 +172,7 @@ def cmd_likelihood(args) -> int:
 
 def cmd_reduce(args) -> int:
     matrices = _load(analysis.LikelihoodMatrices, args.likelihoods)
-    reduced = analysis.reduce_likelihoods(
-        matrices, theta=args.theta, eps=args.eps, mode=args.mode, floor=args.floor
-    )
+    reduced = analysis.reduce_likelihoods(matrices, theta=args.theta, eps=args.eps)
     _write(args.out, reduced.to_csv())
     extra = {"class_size": reduced.count()}
     if args.diff_against:
@@ -316,20 +313,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("likelihood", help="necessary-transition statistics of a corpus")
     p.add_argument("--corpus", required=True, help="rule file, one genome per line")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-trials", type=int, default=20,
-                   help="soups tried per rule while hunting its glider")
     p.add_argument("--out", default="likelihoods.csv")
     p.add_argument("--heatmap-dir", default=None)
     _add_fitness_args(p)
-    p.set_defaults(func=cmd_likelihood)
+    p.set_defaults(func=cmd_likelihood, trials=20)
 
     p = sub.add_parser("reduce", help="distil likelihoods to a set-valued rule table")
     p.add_argument("--likelihoods", default="reference",
                    help="CSV path, or 'reference' for the bundled tables")
     p.add_argument("--theta", type=float, default=0.2)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--mode", choices=("mean", "floor"), default="mean")
-    p.add_argument("--floor", type=float, default=None)
     p.add_argument("--out", default="reduced.csv")
     p.add_argument("--diff-against", default=None,
                    help="CSV path or 'reference': also write an entry diff")

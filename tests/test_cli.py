@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -100,9 +101,9 @@ def test_likelihood_partition_identity_on_emitted_file(glider_files, tmp_path):
     heat = tmp_path / "heat"
     rc = main([
         "likelihood", "--corpus", rule, "--out", str(out), "--seed", "99",
-        "--heatmap-dir", str(heat), "--max-trials", "10",
+        "--heatmap-dir", str(heat),
         "--width", "32", "--height", "32", "--patch-width", "16",
-        "--patch-height", "16", "--steps", "120", "--window", "32", "--trials", "2",
+        "--patch-height", "16", "--steps", "120", "--window", "32", "--trials", "10",
     ])
     assert rc == 0
     text = out.read_text()
@@ -114,6 +115,34 @@ def test_likelihood_partition_identity_on_emitted_file(glider_files, tmp_path):
     for stem in ("fs", "fa", "fb", "fhash"):
         assert (heat / f"{stem}.pgm").read_bytes().startswith(b"P5\n8 8\n")
     assert read_meta(out)["used"] == 1
+
+
+def test_likelihood_hunts_each_glider_over_trials_soups(monkeypatch, tmp_path):
+    dead = "S" * 36  # everything dies at once: no glider to find
+    glider = analysis.bundled_glider_rule().to_genome()
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(dead + "\n" + glider + "\n")
+    soups = Counter()
+    real = analysis.soup_localizations
+
+    def spy(rule, cfg, seed):
+        soups[rule.to_genome()] += 1
+        return real(rule, cfg, seed)
+
+    monkeypatch.setattr(analysis, "soup_localizations", spy)
+    out = tmp_path / "F.csv"
+    rc = main([
+        "likelihood", "--corpus", str(corpus), "--out", str(out), "--seed", "99",
+        "--width", "32", "--height", "32", "--patch-width", "16",
+        "--patch-height", "16", "--steps", "120", "--window", "32", "--trials", "3",
+    ])
+    assert rc == 0
+    assert soups[dead] == 3
+    assert 1 <= soups[glider] <= 3
+    meta = read_meta(out)
+    assert meta["config"]["trials"] == 3
+    assert "max_trials" not in meta["config"]
+    assert meta["skipped"] == [dead]
 
 
 def test_reduce_against_reference(tmp_path):
@@ -310,7 +339,6 @@ CLI_SURFACE = {
     "likelihood": [
         ("--corpus", "corpus", None, None),
         ("--seed", "seed", int, 0),
-        ("--max-trials", "max_trials", int, 20),
         ("--out", "out", None, "likelihoods.csv"),
         ("--heatmap-dir", "heatmap_dir", None, None),
         ("--width", "width", int, 64),
@@ -322,14 +350,12 @@ CLI_SURFACE = {
         ("--steps", "steps", int, 200),
         ("--window", "window", int, 48),
         ("--p-max", "p_max", int, 12),
-        ("--trials", "trials", int, 5),
+        ("--trials", "trials", int, 20),
     ],
     "reduce": [
         ("--likelihoods", "likelihoods", None, "reference"),
         ("--theta", "theta", float, 0.2),
         ("--eps", "eps", float, 0.1),
-        ("--mode", "mode", None, "mean"),
-        ("--floor", "floor", float, None),
         ("--out", "out", None, "reduced.csv"),
         ("--diff-against", "diff_against", None, None),
         ("--diff-out", "diff_out", None, None),
