@@ -46,6 +46,33 @@ from .rules import GENOME_ALPHABET, PAIR_INDEX, PAIRS, RuleMatrix
 # -- likelihood tables ---------------------------------------------------------
 
 
+def _pair_rows(text: str, width: int) -> dict[int, tuple[int, list[str]]]:
+    """The rows of a CSV table over the 36 pairs, keyed by pair index.
+
+    Each row after the header is ``i,j`` and ``width - 2`` more fields; the
+    value is the row's line number and those fields.  Every pair must have
+    exactly one row, and any bad row is a ValueError naming its line.
+    """
+    rows = {}
+    for n, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"line {n}: expected {width} fields, found {len(fields)}")
+        try:
+            k = PAIR_INDEX[(int(fields[0]), int(fields[1]))]
+        except (KeyError, ValueError):
+            raise ValueError(f"line {n}: {fields[0]},{fields[1]} is not an (i, j) pair") from None
+        if k in rows:
+            raise ValueError(f"line {n}: pair {PAIRS[k]} repeats line {rows[k][0]}")
+        rows[k] = (n, fields[2:])
+    if len(rows) != 36:
+        missing = [PAIRS[k] for k in range(36) if k not in rows]
+        raise ValueError(f"table covers {len(rows)} of 36 pairs; no row for {missing}")
+    return rows
+
+
 @dataclass
 class LikelihoodMatrices:
     """Four aligned 36-entry tables in genome order (see rules.PAIRS).
@@ -87,17 +114,12 @@ class LikelihoodMatrices:
     @classmethod
     def from_csv(cls, text: str) -> "LikelihoodMatrices":
         tables = [np.zeros(36) for _ in range(4)]
-        seen = set()
-        for line in text.splitlines()[1:]:
-            if not line.strip():
-                continue
-            i, j, *values = line.split(",")
-            k = PAIR_INDEX[(int(i), int(j))]
-            seen.add(k)
-            for table, v in zip(tables, values):
-                table[k] = float(v)
-        if len(seen) != 36:
-            raise ValueError(f"likelihood CSV covers {len(seen)} of 36 entries")
+        for k, (n, values) in _pair_rows(text, 6).items():
+            try:
+                for table, v in zip(tables, values):
+                    table[k] = float(v)
+            except ValueError:
+                raise ValueError(f"line {n}: likelihoods must be numbers") from None
         return cls(*tables)
 
 
@@ -355,13 +377,11 @@ class ReducedRuleSet:
     @classmethod
     def from_csv(cls, text: str) -> "ReducedRuleSet":
         allowed = {}
-        for line in text.splitlines()[1:]:
-            if not line.strip():
-                continue
-            i, j, letters = line.split(",")
-            allowed[(int(i), int(j))] = frozenset(
-                GENOME_ALPHABET.index(ch) for ch in letters.strip()
-            )
+        for k, (n, (letters,)) in _pair_rows(text, 3).items():
+            letters = letters.strip()
+            if not letters or not set(letters) <= set(GENOME_ALPHABET):
+                raise ValueError(f"line {n}: {letters!r} is not a set of {GENOME_ALPHABET} letters")
+            allowed[PAIRS[k]] = frozenset(GENOME_ALPHABET.index(ch) for ch in letters)
         return cls(allowed)
 
 

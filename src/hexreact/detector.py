@@ -599,6 +599,10 @@ class FitnessConfig:
 
     def __post_init__(self):
         _require_even_height(self.height)
+        if self.width < 3 or self.height < 3:
+            raise ValueError("grid dimensions must be at least 3x3")
+        if self.patch_width < 0 or self.patch_height < 0:
+            raise ValueError("patch sides must be non-negative")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.patch_width > self.width or self.patch_height > self.height:

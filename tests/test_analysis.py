@@ -1,5 +1,6 @@
 """Likelihood tables, symmetrization, reduction, and the bundled references."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,45 @@ def test_likelihood_csv_requires_full_cover():
     text = "\n".join(m.to_csv().splitlines()[:-1])  # drop the last entry
     with pytest.raises(ValueError):
         an.LikelihoodMatrices.from_csv(text)
+
+
+def _with_line(text, n, row):
+    """``text`` with its line ``n`` (1-based) set to ``row``, or dropped for None."""
+    lines = text.splitlines()
+    lines[n - 1 : n] = [] if row is None else [row]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n, row, message",
+    [
+        (6, "9,9,0.34,0.0,0.0,0.66", "line 6: 9,9 is not an (i, j) pair"),
+        (6, "0,4,0.34", "line 6: expected 6 fields, found 3"),
+        (38, "0,2,0.46,0.14,0.16,0.24", "line 38: pair (0, 2) repeats line 4"),
+        (3, "0,1,x,0,0,1", "line 3: likelihoods must be numbers"),
+    ],
+    ids=["unknown-pair", "three-fields", "repeated-pair", "not-a-number"],
+)
+def test_likelihood_csv_names_the_bad_line(n, row, message):
+    text = _with_line(an.reference_likelihoods().to_csv(), n, row)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        an.LikelihoodMatrices.from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "n, row, message",
+    [
+        (6, "4,4,S", "line 6: 4,4 is not an (i, j) pair"),
+        (6, None, "covers 35 of 36 pairs; no row for [(0, 4)]"),
+        (6, "0,4,SX", "line 6: 'SX' is not a set of SAB letters"),
+        (38, "0,2,S", "line 38: pair (0, 2) repeats line 4"),
+    ],
+    ids=["unknown-pair", "missing-row", "bad-letter", "repeated-pair"],
+)
+def test_reduced_set_csv_names_the_bad_line(n, row, message):
+    text = _with_line(an.reference_reduced_set().to_csv(), n, row)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        an.ReducedRuleSet.from_csv(text)
 
 
 def test_as_grid_masks_unreachable():

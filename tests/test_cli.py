@@ -158,6 +158,32 @@ def test_reduce_against_reference(tmp_path):
     assert read_meta(out)["diff_entries"] == 1
 
 
+def test_reduce_rejects_a_likelihood_row_off_the_pair_table(tmp_path, capsys):
+    lines = analysis.reference_likelihoods().to_csv().splitlines()
+    lines[5] = "9,9,0.34,0.0,0.0,0.66"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "R.csv"
+    rc = main(["reduce", "--likelihoods", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("hexreact: line 6: 9,9 is not an (i, j) pair")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--width", "2", "--height", "2", "--patch-width", "1", "--patch-height", "1"],
+     ["--patch-width", "-1"]],
+)
+def test_sweep_rejects_a_grid_too_small_or_a_negative_patch(tmp_path, capsys, flags):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--rules", "1", "--out", str(out)] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hexreact: ") and ("3x3" in err or "non-negative" in err)
+    assert not out.exists()
+
+
 def test_react_deterministic_output(tmp_path):
     args = ["react", "--tmax", "5", "--seed", "7", "--init-a", "500",
             "--init-b", "500", "--init-s", "500", "--sample-dt", "0.5"]

@@ -393,6 +393,15 @@ def test_fitness_config_validation():
         FitnessConfig(window=0)
     with pytest.raises(ValueError, match="p_max"):
         FitnessConfig(p_max=0)
+    with pytest.raises(ValueError, match="at least 3x3"):
+        FitnessConfig(width=2, height=2, patch_width=1, patch_height=1)
+    with pytest.raises(ValueError, match="at least 3x3"):
+        FitnessConfig(width=2, patch_width=2)
+    with pytest.raises(ValueError, match="non-negative"):
+        FitnessConfig(patch_width=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        FitnessConfig(patch_height=-2)
+    FitnessConfig(patch_height=0)  # an empty soup is a valid run
 
 
 # -- metamorphic: classes do not depend on placement or on the A/B labels ------------
