@@ -599,9 +599,9 @@ class FitnessConfig:
 
     def __post_init__(self):
         _require_even_height(self.height)
-        if self.width < 3 or self.height < 3:
+        if min(self.width, self.height) < 3:
             raise ValueError("grid dimensions must be at least 3x3")
-        if self.patch_width < 0 or self.patch_height < 0:
+        if min(self.patch_width, self.patch_height) < 0:
             raise ValueError("patch sides must be non-negative")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")

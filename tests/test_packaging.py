@@ -1,5 +1,6 @@
-"""The package data globs in pyproject.toml cover every bundled fixture."""
+"""pyproject.toml covers every bundled fixture and every module the tests import."""
 
+import sys
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -22,3 +23,21 @@ def test_every_fixture_matches_a_package_data_glob():
         if not any(fnmatchcase(p.relative_to(PACKAGE).as_posix(), g) for g in globs)
     ]
     assert missing == []
+
+
+def test_every_module_the_tests_import_is_declared():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    declared = {
+        req.split(">")[0].split("=")[0].strip()
+        for req in project["dependencies"] + project["optional-dependencies"]["test"]
+    }
+    imported, local = set(), {"hexreact"}
+    for path in (ROOT / "tests").glob("*.py"):
+        local.add(path.stem)
+        for line in path.read_text().splitlines():
+            words = line.split()
+            if words[:1] in (["import"], ["from"]) and len(words) > 1:
+                imported.add(words[1].split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party and third_party <= declared
