@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand against real files."""
 
 import argparse
+import hashlib
 import json
 from collections import Counter
 
@@ -55,6 +56,34 @@ def test_simulate_pgm_frames(glider_files, tmp_path):
     assert files == [f"frame_{k:05d}.pgm" for k in range(4)]
     raw = (pgm_dir / files[0]).read_bytes()
     assert raw.startswith(b"P5\n48 48\n255\n")
+
+
+# sha256 of ``simulate --dump`` for soups that settle before the run ends (the
+# soups of test_engine.SETTLING_SOUPS), so replayed frames stay byte-identical;
+# keyed by genome, soup seed, --keep-last and the period the soup settles to
+SETTLED_DUMPS = {
+    ("SSSSSSSSSASSSSSSSSSSSAASSSASSSSSSSSS", (7, 0), None, 1):
+        "6677475b8e934094236f078e73b8c3bd842d5ecfaa60c9a637d0c14d0bf17e2d",
+    ("SSSASSSSSASSSSSSSSSSSBSSSSSSSSSSSSSS", (224, 1), 25, 2):
+        "8efd314135cb147ca41290841be84375886d55a1db9fc90ffc0710a40e14c23d",
+}
+
+
+@pytest.mark.parametrize("genome,seed,keep_last,period", sorted(SETTLED_DUMPS, key=str))
+def test_simulate_dump_of_a_settled_soup_is_pinned(tmp_path, genome, seed, keep_last, period):
+    rule_path, grid_path, dump = tmp_path / "rule.txt", tmp_path / "grid.txt", tmp_path / "d.txt"
+    rule_path.write_text(genome + "\n")
+    rng = np.random.default_rng(list(seed))
+    cells = np.where(rng.random((12, 12)) < 0.3, rng.integers(1, 3, size=(12, 12)), 0)
+    grid_path.write_text(Grid(cells).to_text())
+    argv = ["simulate", "--rule", str(rule_path), "--grid", str(grid_path), "--steps", "40",
+            "--dump", str(dump)]
+    assert main(argv + ([] if keep_last is None else ["--keep-last", str(keep_last)])) == 0
+    frames = parse_frames(dump.read_text())
+    assert len(frames) == (41 if keep_last is None else keep_last)
+    assert [f == frames[-1] for f in frames[-3:]] == [True, period == 1, True]
+    digest = hashlib.sha256(dump.read_bytes()).hexdigest()
+    assert digest == SETTLED_DUMPS[(genome, seed, keep_last, period)]
 
 
 def test_detect_reports_the_glider(glider_files, tmp_path, capsys):

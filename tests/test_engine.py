@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hexreact.engine import (
     Trajectory,
@@ -132,6 +135,76 @@ def test_run_matches_iterated_reference_stepper():
             for a in range(len(arrays)):
                 for b in range(a + 1, len(arrays)):
                     assert not np.shares_memory(arrays[a], arrays[b])
+
+
+# -- run against a plain step loop --------------------------------------------------
+#
+# ``run`` stops stepping once the soup repeats a state and replays the cycle.
+# These tests hold it to the loop that steps every frame, kept here as the
+# oracle, on soups that settle before, inside and after the kept window.
+
+# Reference-class soups (12x12, 30% reactant) and when they settle: the
+# first frame that repeats an earlier one, and the cycle period.
+SETTLING_SOUPS = {
+    "fixed point": ("SSSSSSSSSASSSSSSSSSSSAASSSASSSSSSSSS", [7, 0]),  # frame 12, period 1
+    "period 2": ("SSSASSSSSASSSSSSSSSSSBSSSSSSSSSSSSSS", [224, 1]),  # frame 9, period 2
+}
+
+
+def settling_soup(name):
+    genome, seed = SETTLING_SOUPS[name]
+    rng = np.random.default_rng(seed)
+    cells = np.where(rng.random((12, 12)) < 0.3, rng.integers(1, 3, size=(12, 12)), 0)
+    return RuleMatrix.from_genome(genome), Grid(cells)
+
+
+def assert_run_matches_step_loop(grid, rule, steps, keep_last, stepper=step):
+    expected = [grid]
+    for _ in range(steps):
+        expected.append(stepper(expected[-1], rule))
+    kept = expected if keep_last is None else expected[-keep_last:]
+    tr = run(grid, rule, steps, keep_last=keep_last)
+    assert tr.t0 == steps + 1 - len(kept)
+    assert tr.frames == kept
+    # every kept frame is its own Grid: changing one leaves the rest alone
+    for k, frame in enumerate(tr.frames):
+        frame.cells[0, 0] ^= 3
+        assert all(other == kept[m] for m, other in enumerate(tr.frames) if m != k)
+        frame.cells[0, 0] ^= 3
+    assert grid == expected[0]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.tuples(st.integers(3, 8), st.integers(3, 8)).flatmap(
+        lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 2))
+    ),
+    # mostly-S rules, so that small soups often settle within the run
+    st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=35, max_size=35),
+    st.integers(0, 60),
+    st.one_of(st.none(), st.just(1), st.integers(1, 64)),
+)
+def test_run_equals_the_step_loop(cells, entries, steps, keep_last):
+    assert_run_matches_step_loop(Grid(cells), RuleMatrix([0] + entries), steps, keep_last)
+
+
+@pytest.mark.parametrize("name", sorted(SETTLING_SOUPS))
+@pytest.mark.parametrize("keep_last", [None, 1, 5, 35])
+def test_run_replays_a_settled_soup(name, keep_last):
+    # 40 steps: a window of 5 starts after the soup settles, one of 35 before
+    rule, grid = settling_soup(name)
+    assert_run_matches_step_loop(grid, rule, 40, keep_last, stepper=step_reference)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 10, 11])
+@pytest.mark.parametrize("keep_last", [None, 1, 4])
+def test_run_replays_a_period_two_cycle_from_the_start(steps, keep_last):
+    # all A turns all B, which turns all A again
+    rule = RuleMatrix.from_entries({(7, 0): 2, (0, 7): 1})
+    grid = Grid.filled(4, 4, CellState.A)
+    assert_run_matches_step_loop(grid, rule, steps, keep_last, stepper=step_reference)
+    expected = [Grid.filled(4, 4, CellState.A + t % 2) for t in range(steps + 1)]
+    assert run(grid, rule, steps).frames == expected
 
 
 def test_trajectory_needs_frames():
