@@ -7,7 +7,12 @@ Two independent implementations of the update step live here on purpose:
   as 0, 1, 8, so the sum of a cell's seven neighbourhood values is
   ``i + 8j`` for ``i`` A cells and ``j`` B cells; that byte indexes a
   64-entry copy of the rule's lookup table.  The grid lives in a buffer with
-  a one-cell wrap border, so every neighbour is a plain slice.
+  a one-cell wrap border, so every neighbour is a plain slice.  The automaton
+  is deterministic, so once a run repeats a state every later frame replays
+  the cycle: :func:`run` finds the first repeat with Brent's cycle detection,
+  keyed by the bytes of each step's signatures (the next state is the table
+  at those signatures, so equal keys mean equal states), and copies the
+  cycle's states into the rest of the kept window instead of stepping.
 * :func:`step_reference` walks the cells one by one, recounting each
   neighbourhood from scratch.  It is deliberately written with none of the
   vectorised machinery so the two can check each other.
@@ -154,6 +159,21 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
     Returns the initial state plus every subsequent state -- ``steps + 1``
     frames -- unless ``keep_last`` caps how many trailing frames are kept.
     Frames before the kept window are never built.
+
+    Once the states repeat, the rest of the run replays the cycle, so
+    stepping stops at the first repeat that Brent's cycle detection finds.
+    The key of step ``t`` is the bytes of the signatures it reads, and
+    state ``t`` is the rule's table at them, so equal keys mean equal
+    states.  (Equal states can have unequal keys, when the states before
+    them differ; their successors' keys are then equal, one step later.)
+    One key is saved and compared with every later key; when the steps
+    since the save reach a power of two, the save moves to the current
+    step.  A soup that enters a cycle of period ``p`` at step ``m`` matches
+    by step ``2 * max(m + 2, p) + p``, and the steps since the save are then
+    exactly ``p``.  Stepping ``p - 1`` more times (fewer if the run ends
+    first) collects the cycle's states, and every remaining kept frame is a
+    fresh copy of its state.  Beyond the kept frames, memory is one key and
+    at most one period of states.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -167,11 +187,27 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
     index = np.empty(grid.shape, dtype=np.uint8)
     table = rule.table.T.ravel()  # next state, indexed by i + 8j
     packed_table = _PACK[table]
+    saved, saved_t, power = None, 0, 1
     for t in range(1, total):
         _signatures(pad, index)
+        key = index.tobytes()
+        if key == saved:
+            break
+        if t - saved_t == power:
+            saved, saved_t, power = key, t, 2 * power
         if t >= t0:
             frames.append(Grid(table[index]))
         pad[1:-1, 1:-1] = packed_table[index]
+    else:
+        return Trajectory(frames, t0=t0)
+    # state t is state t - p: state u >= t is cycle[(u - t) % p]
+    p = t - saved_t
+    cycle = [table[index]]
+    for _ in range(min(p, total - t) - 1):
+        pad[1:-1, 1:-1] = packed_table[index]
+        _signatures(pad, index)
+        cycle.append(table[index])
+    frames.extend(Grid(cycle[(u - t) % p].copy()) for u in range(max(t, t0), total))
     return Trajectory(frames, t0=t0)
 
 
