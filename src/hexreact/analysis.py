@@ -334,12 +334,16 @@ class ReducedRuleSet:
     """Set-valued rule table: each signature maps to its allowed states.
 
     ``allowed`` maps every (i, j) pair to a nonempty frozenset of states;
-    (0, 0) is always exactly {S}.
+    (0, 0) is always exactly {S}.  Pairs left out allow only S; a key that is
+    not one of the 36 pairs is a ValueError.
     """
 
     allowed: dict
 
     def __post_init__(self):
+        stray = [key for key in self.allowed if key not in PAIR_INDEX]
+        if stray:
+            raise ValueError(f"keys {stray} are not (i, j) pairs with i + j <= 7")
         fixed = {}
         for pair in PAIRS:
             states = frozenset(int(s) for s in self.allowed.get(pair, (0,)))
@@ -526,6 +530,7 @@ CLASS_SWEEP_PROTOCOL = dict(
 )
 
 CENSUS_HEADER = "index,genome,first_soup,gliders,puffers,verified,period,dr,dq,shape"
+_CENSUS_WIDTH = CENSUS_HEADER.count(",") + 1
 
 
 @dataclass(frozen=True)
@@ -564,17 +569,45 @@ class CensusRow:
 
     @classmethod
     def from_csv(cls, line: str) -> "CensusRow":
+        """Parse one data row; a bad row is a ValueError that says what is wrong."""
         fields = line.split(",")
+        if len(fields) != _CENSUS_WIDTH:
+            raise ValueError(f"expected {_CENSUS_WIDTH} fields, found {len(fields)}")
         index, genome, first, gliders, puffers, verified, period, dr, dq, cells = fields
-        shape = None
+        if len(genome) != len(PAIRS) or not set(genome) <= set(GENOME_ALPHABET):
+            raise ValueError(f"genome {genome!r} is not {len(PAIRS)} letters of {GENOME_ALPHABET}")
+        if len({v == "" for v in (period, dr, dq, cells)}) > 1:
+            raise ValueError("period, dr, dq and shape must be all set or all empty")
+        lone = (None, None, None)
         if cells:
-            shape = tuple(tuple(int(v) for v in c.split(":")) for c in cells.split(";"))
+            lone = (
+                _census_int("period", period),
+                (_census_int("dr", dr), _census_int("dq", dq)),
+                tuple(_shape_cell(c) for c in cells.split(";")),
+            )
         return cls(
-            int(index), genome, int(first), int(gliders), int(puffers), int(verified),
-            int(period) if period else None,
-            (int(dr), int(dq)) if period else None,
-            shape,
+            _census_int("index", index), genome, _census_int("first_soup", first),
+            _census_int("gliders", gliders), _census_int("puffers", puffers),
+            _census_int("verified", verified), *lone,
         )
+
+
+def _census_int(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} {text!r} is not an integer") from None
+
+
+def _shape_cell(text: str) -> tuple[int, int, int]:
+    """One ``r:q:state`` cell of a census shape; the state is A (1) or B (2)."""
+    try:
+        r, q, z = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise ValueError(f"shape cell {text!r} is not r:q:state") from None
+    if z not in (1, 2):
+        raise ValueError(f"shape cell {text!r} has state {z}, not A (1) or B (2)")
+    return r, q, z
 
 
 def class_census(rset: ReducedRuleSet, cfg: FitnessConfig, indices=None) -> list[CensusRow]:
@@ -642,10 +675,20 @@ def census_to_csv(rows: list[CensusRow], cfg: FitnessConfig, command: str) -> st
 
 
 def census_from_csv(text: str) -> list[CensusRow]:
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    if not lines or lines[0] != CENSUS_HEADER:
+    """The rows of ``census_to_csv``'s text; any bad row is a ValueError naming its line."""
+    lines = [
+        (n, line) for n, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.startswith("#")
+    ]
+    if not lines or lines[0][1] != CENSUS_HEADER:
         raise ValueError("census CSV must start with the header " + CENSUS_HEADER)
-    return [CensusRow.from_csv(line) for line in lines[1:]]
+    rows = []
+    for n, line in lines[1:]:
+        try:
+            rows.append(CensusRow.from_csv(line))
+        except ValueError as err:
+            raise ValueError(f"line {n}: {err}") from None
+    return rows
 
 
 # -- bundled reference tables -------------------------------------------------------

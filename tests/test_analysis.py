@@ -253,6 +253,14 @@ def test_reduced_set_validation():
         an.ReducedRuleSet({(1, 1): {3}})
 
 
+@pytest.mark.parametrize("key", [(9, 9), (4, 4), (-1, 1), "1,1"])
+def test_reduced_set_rejects_keys_off_the_pair_table(key):
+    # such a key was once dropped in silence: {(9, 9): {1}} made the all-S class
+    with pytest.raises(ValueError, match="not \\(i, j\\) pairs") as err:
+        an.ReducedRuleSet({(1, 1): {0, 1}, key: {1}})
+    assert repr(key) in str(err.value)
+
+
 # -- enumeration and sampling ----------------------------------------------------------
 
 
@@ -601,6 +609,33 @@ def test_census_row_csv_round_trip():
     assert an.census_from_csv(text) == [verified, unverified]
     with pytest.raises(ValueError):
         an.census_from_csv("genome\n")
+
+
+BAD_CENSUS_ROWS = {
+    "3,SSS,0,1,0,0,,,,": "genome 'SSS' is not 36 letters of SAB",
+    "3,SSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSSX,0,1,0,0,,,,": "is not 36 letters of SAB",
+    "3,{g},0,1,0,0,,,": "expected 10 fields, found 9",
+    "3,{g},0,1,0,0,2,0,1,0:0:1,extra": "expected 10 fields, found 11",
+    "3,{g},x,1,0,0,,,,": "first_soup 'x' is not an integer",
+    "3,{g},0,1.5,0,0,,,,": "gliders '1.5' is not an integer",
+    ",{g},0,1,0,0,,,,": "index '' is not an integer",
+    "3,{g},0,1,0,1,two,0,1,0:0:1": "period 'two' is not an integer",
+    "3,{g},0,1,0,1,2,0,,0:0:1": "must be all set or all empty",
+    "3,{g},0,1,0,1,2,0,1,": "must be all set or all empty",
+    "3,{g},0,1,0,1,2,0,1,0:0:1;1:-1": "shape cell '1:-1' is not r:q:state",
+    "3,{g},0,1,0,1,2,0,1,0:0:1;a:b:c": "shape cell 'a:b:c' is not r:q:state",
+    "3,{g},0,1,0,1,2,0,1,0:0:3": "has state 3, not A",
+}
+
+
+@pytest.mark.parametrize("row", sorted(BAD_CENSUS_ROWS))
+def test_census_from_csv_names_the_line_of_a_bad_row(row):
+    good = an.CensusRow(4, "S" * 36, 7, 0, 3, 0, None, None, None).to_csv()
+    text = "# comment\n" + an.CENSUS_HEADER + "\n" + good + "\n\n" + row.format(g="S" * 36) + "\n"
+    with pytest.raises(ValueError) as err:
+        an.census_from_csv(text)
+    assert str(err.value).startswith("line 5: ")
+    assert BAD_CENSUS_ROWS[row] in str(err.value)
 
 
 def test_census_to_csv_writes_the_fixture_byte_for_byte():
