@@ -137,11 +137,12 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _scan(block: np.ndarray) -> list[_Frame]:
+def _scan(block: np.ndarray, with_shapes: bool = True) -> list[_Frame]:
     """Every frame of ``block``, shape ``(frames, h, w)``, from one array pass.
 
     Cells are keyed ``t * h * w + cell``, so no component crosses frames.
     Each frame gets views of the block's arrays, its components counted from 0.
+    Without ``with_shapes`` every shape and anchor is None.
     """
     nf, h, w = block.shape
     _require_even_height(h)
@@ -167,7 +168,9 @@ def _scan(block: np.ndarray) -> list[_Frame]:
     bounds = np.searchsorted(comp, np.arange(count + 1))
     dil_comp, dilated = np.divmod(_unique(comp[:, None] * size + table[cells]), size)
     dil_bounds = np.searchsorted(dil_comp, np.arange(count + 1))
-    shapes, anchors = _shapes(cells, states, bounds, h, w)
+    shapes = anchors = [None] * count
+    if with_shapes:
+        shapes, anchors = _shapes(cells, states, bounds, h, w)
     frames = [_Frame() for _ in range(nf)]
     for t, (frame, c0, c1) in enumerate(zip(frames, first.tolist(), first[1:].tolist())):
         lo, hi, dlo, dhi = bounds[c0], bounds[c1], dil_bounds[c0], dil_bounds[c1]
@@ -194,11 +197,12 @@ def extract_components(grid: Grid) -> list[Component]:
     """Partition the non-S cells of ``grid`` into connected components.
 
     6-neighbour adjacency on the torus, labelled for the whole frame at once
-    by ``_scan``, the pass ``track`` runs, on a block of this one frame.
+    by ``_scan``, the pass ``track`` runs, on a block of this one frame,
+    without its canonical shapes.
     Components come back ordered by their smallest flat index, so the result
     is deterministic.  Requires an even grid height.
     """
-    frame = _scan(grid.cells[None])[0]
+    frame = _scan(grid.cells[None], with_shapes=False)[0]
     b, d = frame.bounds.tolist(), frame.dil_bounds.tolist()
     return [
         Component(frame.cells[lo:hi], frame.states[lo:hi], frame.dilated[dlo:dhi])
