@@ -343,7 +343,7 @@ class ReducedRuleSet:
     def __post_init__(self):
         stray = [key for key in self.allowed if key not in PAIR_INDEX]
         if stray:
-            raise ValueError(f"keys {stray} are not (i, j) pairs with i + j <= 7")
+            raise ValueError(f"keys {stray} are not among the 36 (i, j) pairs")
         fixed = {}
         for pair in PAIRS:
             states = frozenset(int(s) for s in self.allowed.get(pair, (0,)))
