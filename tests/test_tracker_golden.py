@@ -6,8 +6,13 @@ order, must match the stored digest.  The cases cover a bundled-rule soup, a
 soup of the dense rule ``random_rule(default_rng(5))``, a lone glider that
 crosses both seams, a soup that emits puffer trains, a soup whose patch
 straddles both seams, and a small dense torus whose components wrap all the
-way around it.  Regenerate the digests (only when tracking is meant to change)
-with
+way around it.  Four more are class-sweep soups (``CLASS_SWEEP_PROTOCOL``) of
+reduced-class rules whose windows repeat frames: a fixed point that holds a
+still pair two cells apart, a period-2 and a period-8 cycle, and a soup
+stopped at step 60, whose period-10 cycle begins partway through its window.
+The lone glider's window repeats too: the glider laps the torus, so its
+frames recur, though never adjacent ones.  Regenerate the digests (only when
+tracking is meant to change) with
 
     PYTHONPATH=src python tests/test_tracker_golden.py
 
@@ -34,7 +39,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hexreact import detector
-from hexreact.analysis import bundled_glider_rule, bundled_glider_seed
+from hexreact.analysis import CLASS_SWEEP_PROTOCOL, bundled_glider_rule, bundled_glider_seed
 from hexreact.detector import (
     PUFFER_TRAIN,
     FitnessConfig,
@@ -57,6 +62,12 @@ def _soup(rule, seed, shift=(0, 0)):
     return run(grid, rule, cfg.steps, keep_last=cfg.window)
 
 
+def _class_soup(genome, seed, steps=CLASS_SWEEP_PROTOCOL["steps"]):
+    cfg = FitnessConfig(**CLASS_SWEEP_PROTOCOL)
+    grid = random_patch_grid(cfg, np.random.default_rng(seed))
+    return run(grid, RuleMatrix.from_genome(genome), steps, keep_last=cfg.window)
+
+
 def _dense_torus():
     rng = np.random.default_rng(1)
     grid = Grid(rng.choice(3, size=(16, 16), p=[0.7, 0.15, 0.15]))
@@ -70,6 +81,21 @@ CASES = {
     "puffer-soup": lambda: _soup(RuleMatrix.from_genome(PUFFER_RULE), 3),
     "seam-soup": lambda: _soup(bundled_glider_rule(), 2, shift=(32, 32)),
     "spanning-torus": _dense_torus,
+    # rules of sample_rules(reference_reduced_set(), 40, default_rng(3))
+    "still-pair": lambda: _class_soup("SSSASSSSSABSSSSSASSSSAASSSASSSSSSSSS", 0),
+    "period-2": lambda: _class_soup("SSSSSSSSSASSSSSSASSSSBASSSASSSSSSSSS", 1),
+    "period-8": lambda: _class_soup("SSSBSSSSSASSSSSSBSSSSSASSSASSSSSSSSS", 1),
+    # stopped at step 60, so the window holds the steps before its period-10 cycle
+    "settles-in-window": lambda: _class_soup("SSSSSSSSSAASSSSSASSSSBSSSSASSSSSSSSS", 1, steps=60),
+}
+
+# cases whose windows repeat frames: (distinct frames, first repeat, its period)
+REPEATING = {
+    "lone-glider": (96, 96, 96),
+    "still-pair": (1, 1, 1),
+    "period-2": (2, 2, 2),
+    "period-8": (8, 8, 8),
+    "settles-in-window": (36, 36, 10),
 }
 
 GOLDEN = {
@@ -79,6 +105,10 @@ GOLDEN = {
     "puffer-soup": "6d60cf186f21d63c86c3bd3d9f50cb0b17e42eaac0f76af0d9e1c1c1b70e0fa1",
     "seam-soup": "8bb37de75936380f653fe60d355f3885155da50ff4d417e463fc02c66a161211",
     "spanning-torus": "7fb2ffaf9231575039b32049a38bfbfdd50dc185fb52bface5e74b0e67f866b2",
+    "still-pair": "6295541676000a3607ca9f8fe108e3253e4cf99463940e6fcf6b8a0e6e08924a",
+    "period-2": "2176ed888571d0ae7459aabe2efeb288763560568556fcbb6eeae1044fbc18dd",
+    "period-8": "aab29c7cd7c222b6ded7cda633772c1a0177f083b2232993b06718511fbdda91",
+    "settles-in-window": "37becbc0dbb5347888cee193e27c36249b39446081d7c2984eac7a9a5bf3cb5a",
 }
 
 
@@ -300,6 +330,29 @@ def test_golden_cases_cover_puffers_seams_and_spanning_components():
     assert any(
         _spans(cells, h, w) for frame in tr.frames for cells, _, _ in oracle_components(frame)
     )
+
+
+def _repeats(tr):
+    """(distinct frames, first frame equal to an earlier one, their distance) of a window."""
+    seen = {}
+    for t, frame in enumerate(tr.frames):
+        t0 = seen.setdefault(frame.cells.tobytes(), t)
+        if t0 != t:
+            return len({f.cells.tobytes() for f in tr.frames}), t, t - t0
+    return len(seen), None, None
+
+
+@pytest.mark.parametrize("name", sorted(REPEATING))
+def test_repeating_cases_repeat_as_described(name):
+    assert _repeats(CASES[name]()) == REPEATING[name]
+
+
+def test_still_pair_case_kills_two_tracks_on_every_frame():
+    locs = track(CASES["still-pair"]())
+    killed = [loc for loc in locs if loc.terminated == "proximity"]
+    assert len(killed) == 120 and all(loc.frames == 1 for loc in killed)
+    assert sorted({loc.first_frame for loc in killed}) == list(range(241, 301))
+    assert all(loc.terminated is None for loc in locs if loc not in killed)
 
 
 if __name__ == "__main__":
