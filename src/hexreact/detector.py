@@ -13,18 +13,28 @@ on which row parity it happens to occupy).  Canonical shapes are therefore
 placement-independent, and displacements come out as exact integer vectors
 ``(dr, dc)`` where ``dc`` counts axial columns.
 
-``track`` cuts the frames into blocks of up to ``_BLOCK_CELLS`` non-S cells
-and runs one array pass per block (``_scan``).  Cells are keyed
-``t * h * w + cell``, so no component crosses frames.  The pass labels
-components by root hooking over the neighbour table, takes every component's
-sorted cells, states and one-ring dilation from sorts of (component, cell)
-keys, and every canonical shape and anchor from one sort of (component, row,
-axial column) keys, on coordinates ``_lift`` frees from the torus wrap.
-``track`` links and checks proximity frame to frame with array operations
-over each frame's views of its block, and a component that lives one frame
-gets its Localization without a ``_Track``.  ``extract_components`` is the
-pass over a one-frame block, and ``canonical_shape`` runs ``_shapes`` on one
-component.
+``track`` cuts the window's distinct grids into blocks of up to
+``_BLOCK_CELLS`` non-S cells and runs one array pass per block (``_scan``).
+Cells are keyed ``t * h * w + cell``, so no component crosses frames.  The
+pass labels components by root hooking over the neighbour table, takes every
+component's sorted cells, states and one-ring dilation from sorts of
+(component, cell) keys, and every canonical shape and anchor from one sort of
+(component, row, axial column) keys, on coordinates ``_lift`` frees from the
+torus wrap.  ``track`` links and checks proximity frame to frame with array
+operations over each frame's views of its block, and a component that lives
+one frame gets its Localization without a ``_Track``.  ``extract_components``
+is the pass over a one-frame block, and ``canonical_shape`` runs ``_shapes``
+on one component.
+
+A settled soup's window repeats a few grids over and over, so ``track`` does
+each grid's work once.  ``_frames`` keys every frame by its bytes and scans
+only first occurrences; a repeated frame gets the ``_Frame`` scanned at its
+first occurrence.  On repeated frames ``track`` also reuses the ``_links``
+and ``_clashes`` results stored under the first-occurrence ids of the frames
+involved and the tracked order, the only inputs those functions read.  Both
+are exact: equal grids scan to equal frames, whatever block they fall in, and
+a reused proximity-kill set iterates in its stored order.  A window with no
+repeated grid keeps no frame for reuse and stores no result.
 
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
@@ -183,8 +193,30 @@ def _scan(block: np.ndarray, with_shapes: bool = True) -> list[_Frame]:
 
 
 def _frames(tr: Trajectory):
-    """``tr``'s frames, scanned in blocks of up to ``_BLOCK_CELLS`` non-S cells or of one frame."""
-    stack = np.stack([grid.cells for grid in tr.frames])
+    """Yield ``(first, frame)`` for each frame of ``tr``: ``first`` is the index of the
+    first frame with the same grid, and ``frame`` its ``_Frame``.
+
+    Only first occurrences are scanned, in blocks of up to ``_BLOCK_CELLS`` non-S
+    cells or of one frame; a repeated grid gets the ``_Frame`` of its first
+    occurrence back.  That is exact, because the scan of a frame depends on its
+    grid alone, not on the block it shares.  A ``_Frame`` is kept for reuse only
+    until the last occurrence of its grid, so a window with no repeated grid
+    holds no more frames than before, and blocks are still scanned lazily.
+    """
+    firsts: dict[bytes, int] = {}
+    ids = [firsts.setdefault(grid.cells.tobytes(), t) for t, grid in enumerate(tr.frames)]
+    last = {first: t for t, first in enumerate(ids)}
+    scanned = _scanned(np.stack([tr.frames[t].cells for t in firsts.values()]))
+    kept: dict[int, _Frame] = {}
+    for t, first in enumerate(ids):
+        frame = next(scanned) if first == t else kept.pop(first)
+        if last[first] > t:
+            kept[first] = frame
+        yield first, frame
+
+
+def _scanned(stack: np.ndarray):
+    """``stack``'s frames, scanned in blocks of up to ``_BLOCK_CELLS`` non-S cells or one frame."""
     ends = np.cumsum(np.count_nonzero(stack, axis=(1, 2))).tolist()
     start = 0
     while start < len(stack):
@@ -496,10 +528,14 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
 
     done: list[Localization] = []
     tracks: dict[int, _Track | None] = {}  # None: a track still on its first frame
-    prev = None
-    for t, frame in enumerate(_frames(tr), start=tr.t0):
+    memo: dict[tuple, object] = {}  # results on repeated frames, by first-occurrence ids
+    prev = prev_id = None
+    for t, (frame_id, frame) in enumerate(_frames(tr), start=tr.t0):
+        reuse = memo if frame_id != t - tr.t0 else None  # only a repeated frame can hit
         if tracks:
-            nsucc, succ, nclaim = _links(prev, frame, list(tracks))
+            nsucc, succ, nclaim = _memo(
+                reuse, (prev_id, frame_id), list(tracks), _links, prev, frame
+            )
 
         next_tracks: dict[int, _Track | None] = {}
         for prev_idx, trk in tracks.items():
@@ -516,16 +552,32 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
         for idx in range(len(frame)):
             next_tracks.setdefault(idx, None)
 
-        for idx in _clashes(frame, list(next_tracks)):
+        for idx in _memo(reuse, (frame_id,), list(next_tracks), _clashes, frame):
             done.append(_finish(next_tracks.pop(idx), t, p_max, frame, idx, "proximity"))
         tracks = next_tracks
-        prev = frame
+        prev, prev_id = frame, frame_id
 
     done.extend(_finish(trk, t, p_max, prev, idx, None) for idx, trk in tracks.items())
     done.sort(key=lambda l: l.first_frame)  # stable: frame order, then discovery order
     for loc in done:
         classify(loc)
     return done
+
+
+def _memo(memo: dict | None, ids: tuple, order: list[int], fn, *frames):
+    """``fn(*frames, order)``, looked up in ``memo`` first and stored there, unless it is None.
+
+    ``_links`` and ``_clashes`` read only their frames' grids and the tracked
+    ``order``, so the first-occurrence ``ids`` of the frames (two for links,
+    one for proximity) and that order name the result exactly.  A stored
+    result is shared, so reused proximity kills come in the same set order.
+    """
+    if memo is None:
+        return fn(*frames, order)
+    key = (ids, tuple(order))
+    if key not in memo:
+        memo[key] = fn(*frames, order)
+    return memo[key]
 
 
 def _links(prev: _Frame, frame: _Frame, tracked: list[int]) -> tuple[list, list, list]:

@@ -29,8 +29,10 @@ lift from each component's smallest cell for shapes and anchors, and the
 shapes of translated copies.
 """
 
+import gc
 import hashlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +44,8 @@ from hexreact import detector
 from hexreact.analysis import CLASS_SWEEP_PROTOCOL, bundled_glider_rule, bundled_glider_seed
 from hexreact.detector import (
     PUFFER_TRAIN,
+    STILL_LIFE,
+    UNRESOLVED,
     FitnessConfig,
     canonical_shape,
     extract_components,
@@ -149,14 +153,86 @@ def test_golden_tracker_outputs_do_not_depend_on_blocks(name, budget, monkeypatc
     scan, blocks = detector._scan, []
 
     def spy(block):
-        blocks.append(len(block))
+        blocks.append([frame.tobytes() for frame in block])
         return scan(block)
 
     monkeypatch.setattr(detector, "_BLOCK_CELLS", budget)
     monkeypatch.setattr(detector, "_scan", spy)
     tr = CASES[name]()
     assert localizations_digest(track(tr)) == GOLDEN[name]
-    assert blocks == ([1] * len(tr) if budget == 0 else [len(tr)])
+    # each distinct grid is scanned once, at its first occurrence
+    distinct = list(dict.fromkeys(grid.cells.tobytes() for grid in tr.frames))
+    assert blocks == ([[key] for key in distinct] if budget == 0 else [distinct])
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(detector, name)
+
+        def spy(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(detector, name, spy)
+    return calls
+
+
+# scans, _links calls and _clashes calls per window (60 frames each)
+SETTLED_CALLS = {"still-pair": (1, 1, 2), "period-2": (1, 1, 4), "period-8": (1, 11, 16)}
+
+
+@pytest.mark.parametrize("name", sorted(SETTLED_CALLS))
+def test_settled_windows_scan_link_and_check_proximity_once_per_repeat(name, monkeypatch):
+    calls = _count_calls(monkeypatch, "_scan", "_links", "_clashes")
+    assert localizations_digest(track(CASES[name]())) == GOLDEN[name]
+    assert tuple(calls.values()) == SETTLED_CALLS[name]
+
+
+def _live_frames():
+    return sum(type(obj) is detector._Frame for obj in gc.get_objects())
+
+
+# most _Frames alive at once: the frame in hand and those kept for a later repeat
+@pytest.mark.parametrize("name, most", [("bundled-soup", 1), ("still-pair", 1), ("period-8", 8)])
+def test_frames_keep_a_scanned_frame_only_while_its_grid_recurs(name, most, monkeypatch):
+    # one frame per block, so the block in hand holds just the frame in hand
+    monkeypatch.setattr(detector, "_BLOCK_CELLS", 0)
+    tr = CASES[name]()
+    gc.collect()
+    before = _live_frames()
+    assert max(_live_frames() - before for _ in detector._frames(tr)) == most
+
+
+def test_memo_keys_on_the_tracked_order():
+    # _clashes' set iterates in an order that can follow the order it scans in,
+    # so one frame under another order is another result
+    calls = []
+
+    def fn(frame, order):
+        calls.append(order)
+        return set(order)
+
+    memo = {}
+    for order in ([3, 67], [67, 3], [3, 67]):
+        detector._memo(memo, (0,), order, fn, None)
+    assert calls == [[3, 67], [67, 3]] and list(memo) == [((0,), (3, 67)), ((0,), (67, 3))]
+    assert list(memo[(0,), (3, 67)]) != list(memo[(0,), (67, 3)])
+
+
+def test_a_window_without_repeats_memoizes_nothing(monkeypatch):
+    memo, tables = detector._memo, []
+
+    def spy(table, *args):
+        tables.append(table)
+        return memo(table, *args)
+
+    monkeypatch.setattr(detector, "_memo", spy)
+    tr = CASES["bundled-soup"]()
+    assert len({grid.cells.tobytes() for grid in tr.frames}) == len(tr)
+    assert localizations_digest(track(tr)) == GOLDEN["bundled-soup"]
+    # one _links and one _clashes call per frame, none of them memoized
+    assert len(tables) == 2 * len(tr) - 1 and all(table is None for table in tables)
 
 
 # -- the block pass ------------------------------------------------------------
@@ -350,9 +426,9 @@ def test_repeating_cases_repeat_as_described(name):
 def test_still_pair_case_kills_two_tracks_on_every_frame():
     locs = track(CASES["still-pair"]())
     killed = [loc for loc in locs if loc.terminated == "proximity"]
-    assert len(killed) == 120 and all(loc.frames == 1 for loc in killed)
-    assert sorted({loc.first_frame for loc in killed}) == list(range(241, 301))
-    assert all(loc.terminated is None for loc in locs if loc not in killed)
+    assert all(loc.frames == 1 for loc in killed)
+    assert Counter(loc.first_frame for loc in killed) == dict.fromkeys(range(241, 301), 2)
+    assert Counter(loc.loc_class for loc in locs) == {UNRESOLVED: 120, STILL_LIFE: 9}
 
 
 if __name__ == "__main__":
