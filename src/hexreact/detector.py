@@ -552,7 +552,7 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
         for idx in range(len(frame)):
             next_tracks.setdefault(idx, None)
 
-        for idx in _memo(reuse, (frame_id,), list(next_tracks), _clashes, frame):
+        for idx in sorted(_memo(reuse, (frame_id,), list(next_tracks), _clashes, frame)):
             done.append(_finish(next_tracks.pop(idx), t, p_max, frame, idx, "proximity"))
         tracks = next_tracks
         prev, prev_id = frame, frame_id

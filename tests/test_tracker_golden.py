@@ -103,11 +103,11 @@ REPEATING = {
 }
 
 GOLDEN = {
-    "bundled-soup": "f75e0674925556bcea2e9441ab0f5b0749a445cf7aae31f94d343769d9f047c6",
+    "bundled-soup": "87830af37391de162fffe1efac01cb28a5413c8759935a6770dc19367505cd4d",
     "dense-soup": "6f67ccd235754347257c486301eda39618b1b623b4bfe01b00297451c11a19e7",
     "lone-glider": "166387095a05c0ac49fb2b49e995435bdae9da4922e4e3b0bcb8d838c03368b5",
-    "puffer-soup": "6d60cf186f21d63c86c3bd3d9f50cb0b17e42eaac0f76af0d9e1c1c1b70e0fa1",
-    "seam-soup": "8bb37de75936380f653fe60d355f3885155da50ff4d417e463fc02c66a161211",
+    "puffer-soup": "9ee29a20d59f9dc8de93affc9fcb46ceb3070fa3e3bd353d52841505b82e5252",
+    "seam-soup": "09963cdc4f4fbaeb5fa525d3212f1990f02ee4cba44d77baa7bfe66412ae22c5",
     "spanning-torus": "7fb2ffaf9231575039b32049a38bfbfdd50dc185fb52bface5e74b0e67f866b2",
     "still-pair": "6295541676000a3607ca9f8fe108e3253e4cf99463940e6fcf6b8a0e6e08924a",
     "period-2": "2176ed888571d0ae7459aabe2efeb288763560568556fcbb6eeae1044fbc18dd",
@@ -145,6 +145,18 @@ def localizations_digest(locs) -> str:
 def test_golden_tracker_outputs(name):
     locs = track(CASES[name]())
     assert localizations_digest(locs) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_proximity_kills_come_in_component_order(name):
+    # components are numbered by their smallest cell, so tracks killed together
+    # come in ascending first cell
+    groups = {}
+    for loc in track(CASES[name]()):
+        if loc.terminated == "proximity":
+            end = loc.first_frame + loc.frames - 1
+            groups.setdefault((loc.first_frame, end), []).append(int(loc.cells_last[0]))
+    assert all(firsts == sorted(firsts) for firsts in groups.values())
 
 
 @pytest.mark.parametrize("budget", [0, 10**9], ids=["frame-per-block", "one-block"])
