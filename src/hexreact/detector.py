@@ -18,9 +18,10 @@ placement-independent, and displacements come out as exact integer vectors
 Cells are keyed ``t * h * w + cell``, so no component crosses frames.  The
 pass labels components by root hooking over the neighbour table, takes every
 component's sorted cells, states and one-ring dilation from sorts of
-(component, cell) keys, and every canonical shape and anchor from one sort of
-(component, row, axial column) keys, on coordinates ``_lift`` frees from the
-torus wrap.  ``track`` links and checks proximity frame to frame with array
+(component, cell) keys, flags the components in proximity from one sort of the
+dilations' (frame, cell) keys, and takes every canonical shape and anchor from
+one sort of (component, row, axial column) keys, on coordinates ``_lift``
+frees from the torus wrap.  ``track`` links frame to frame with array
 operations over each frame's views of its block, and a component that lives
 one frame gets its Localization without a ``_Track``.  ``extract_components``
 is the pass over a one-frame block, and ``canonical_shape`` runs ``_shapes``
@@ -29,12 +30,11 @@ on one component.
 A settled soup's window repeats a few grids over and over, so ``track`` does
 each grid's work once.  ``_frames`` keys every frame by its bytes and scans
 only first occurrences; a repeated frame gets the ``_Frame`` scanned at its
-first occurrence.  On repeated frames ``track`` also reuses the ``_links``
-and ``_clashes`` results stored under the first-occurrence ids of the frames
-involved and the tracked order, the only inputs those functions read.  Both
-are exact: equal grids scan to equal frames, whatever block they fall in, and
-a reused proximity-kill set iterates in its stored order.  A window with no
-repeated grid keeps no frame for reuse and stores no result.
+first occurrence.  That is exact: equal grids scan to equal frames, whatever
+block they fall in.  Proximity is a flag of the scanned frame, so ``_links``
+reads its two frames and nothing else; ``track`` stores its result on the
+later frame under the first-occurrence id of the earlier one, and a repeated
+pair of grids reuses it.  A stored result lives exactly as long as its frame.
 
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
@@ -103,10 +103,17 @@ class _Frame:
     names the component of each dilated entry.  ``labels`` maps every flat
     cell to its component, or -1 on substrate.  ``shapes`` and ``anchors``
     hold each component's canonical shape and torus anchor (see ``_shapes``).
+
+    ``clash[k]`` flags a component within two cells of another one.  Two
+    components on the same frame always sit at least two cells apart (closer
+    and they would be one component); their dilations intersect exactly when
+    the gap is two or less, i.e. when they can influence each other's next
+    step.  ``linked`` holds ``track``'s ``_links`` results into this frame,
+    keyed by the first-occurrence id of the previous frame.
     """
 
     __slots__ = ("cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels",
-                 "shapes", "anchors")
+                 "shapes", "anchors", "clash", "linked")
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -178,6 +185,14 @@ def _scan(block: np.ndarray, with_shapes: bool = True) -> list[_Frame]:
     bounds = np.searchsorted(comp, np.arange(count + 1))
     dil_comp, dilated = np.divmod(_unique(comp[:, None] * size + table[cells]), size)
     dil_bounds = np.searchsorted(dil_comp, np.arange(count + 1))
+    # two components clash where their dilations share a cell of one frame
+    spot = (nz[is_root] // size)[dil_comp] * size + dilated
+    order = np.argsort(spot, kind="stable")
+    spot = spot[order]
+    shared = np.flatnonzero(spot[1:] == spot[:-1])
+    clash = np.zeros(count, dtype=bool)
+    clash[dil_comp[order[shared]]] = True
+    clash[dil_comp[order[shared + 1]]] = True
     shapes = anchors = [None] * count
     if with_shapes:
         shapes, anchors = _shapes(cells, states, bounds, h, w)
@@ -189,6 +204,7 @@ def _scan(block: np.ndarray, with_shapes: bool = True) -> list[_Frame]:
         frame.dilated, frame.dil_comp = dilated[dlo:dhi], dil_comp[dlo:dhi] - c0
         frame.labels = labels[t * size : (t + 1) * size]
         frame.shapes, frame.anchors = shapes[c0:c1], anchors[c0:c1]
+        frame.clash, frame.linked = clash[c0:c1], {}
     return frames
 
 
@@ -382,7 +398,7 @@ def _axial_delta(a0: int, a1: int, h: int, w: int) -> tuple[int, int]:
 
 @dataclass
 class Localization:
-    """One tracked pattern over a window of frames.
+    """One pattern followed over a window of frames.
 
     ``shapes`` and ``anchors`` run frame by frame; anchors accumulate the
     per-step axial displacement, so differences of anchors are true travel
@@ -516,7 +532,9 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
     approaching within two cells of each other (proximity) all end their
     tracks as Unresolved -- identity cannot be trusted through a collision.
     Every component always belongs to exactly one track, so fresh tracks
-    start wherever no clean predecessor exists.
+    start wherever no clean predecessor exists.  The tracks proximity ends on
+    one frame end in component order (ascending smallest cell), so the
+    returned order depends on the grids alone.
 
     Returns one classified Localization per track; ``first_frame`` counts
     from ``tr.t0``, so a run trimmed by ``keep_last`` keeps its times.
@@ -528,14 +546,12 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
 
     done: list[Localization] = []
     tracks: dict[int, _Track | None] = {}  # None: a track still on its first frame
-    memo: dict[tuple, object] = {}  # results on repeated frames, by first-occurrence ids
     prev = prev_id = None
     for t, (frame_id, frame) in enumerate(_frames(tr), start=tr.t0):
-        reuse = memo if frame_id != t - tr.t0 else None  # only a repeated frame can hit
         if tracks:
-            nsucc, succ, nclaim = _memo(
-                reuse, (prev_id, frame_id), list(tracks), _links, prev, frame
-            )
+            if prev_id not in frame.linked:
+                frame.linked[prev_id] = _links(prev, frame)
+            nsucc, succ, nclaim = frame.linked[prev_id]
 
         next_tracks: dict[int, _Track | None] = {}
         for prev_idx, trk in tracks.items():
@@ -552,7 +568,7 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
         for idx in range(len(frame)):
             next_tracks.setdefault(idx, None)
 
-        for idx in sorted(_memo(reuse, (frame_id,), list(next_tracks), _clashes, frame)):
+        for idx in np.flatnonzero(frame.clash).tolist():
             done.append(_finish(next_tracks.pop(idx), t, p_max, frame, idx, "proximity"))
         tracks = next_tracks
         prev, prev_id = frame, frame_id
@@ -564,34 +580,16 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
     return done
 
 
-def _memo(memo: dict | None, ids: tuple, order: list[int], fn, *frames):
-    """``fn(*frames, order)``, looked up in ``memo`` first and stored there, unless it is None.
-
-    ``_links`` and ``_clashes`` read only their frames' grids and the tracked
-    ``order``, so the first-occurrence ``ids`` of the frames (two for links,
-    one for proximity) and that order name the result exactly.  A stored
-    result is shared, so reused proximity kills come in the same set order.
-    """
-    if memo is None:
-        return fn(*frames, order)
-    key = (ids, tuple(order))
-    if key not in memo:
-        memo[key] = fn(*frames, order)
-    return memo[key]
-
-
-def _links(prev: _Frame, frame: _Frame, tracked: list[int]) -> tuple[list, list, list]:
-    """Which components of ``frame`` the ``tracked`` components of ``prev`` reach.
+def _links(prev: _Frame, frame: _Frame) -> tuple[list, list, list]:
+    """Which components of ``frame`` the components of ``prev`` not in a clash reach.
 
     A successor of a previous component is any component its dilation
     touches.  Returns, per previous component, the number of successors and
     (meaningful when that is one) the successor, and per component of
-    ``frame`` the number of tracked predecessors claiming it.
+    ``frame`` the number of predecessors not in a clash claiming it.
     """
     succ = frame.labels[prev.dilated]
-    live = np.zeros(len(prev), dtype=bool)
-    live[tracked] = True
-    keep = (succ >= 0) & live[prev.dil_comp]
+    keep = (succ >= 0) & ~prev.clash[prev.dil_comp]
     n = max(len(frame), 1)
     pairs = _unique(prev.dil_comp[keep] * n + succ[keep])
     p, s = np.divmod(pairs, n)
@@ -604,30 +602,6 @@ def _links(prev: _Frame, frame: _Frame, tracked: list[int]) -> tuple[list, list,
     )
 
 
-def _clashes(frame: _Frame, order: list[int]) -> set[int]:
-    """Components within two cells of another: their dilations intersect.
-
-    Two components on the same frame always sit at least two cells apart
-    (closer and they would be one component); their dilations intersect
-    exactly when the gap is two or less, i.e. when they can influence each
-    other's next step.  The dilations are scanned in ``order`` (the tracks'
-    order) and each cell already owned by an earlier component adds that
-    owner and then the current component to the set; the set's iteration
-    order, which orders the proximity kills, depends on that insertion order.
-    """
-    keys = np.asarray(order, dtype=np.int64)
-    starts = frame.dil_bounds[keys]
-    lens = frame.dil_bounds[keys + 1] - starts
-    owner = np.repeat(keys, lens)
-    at = np.arange(len(owner))
-    cells = frame.dilated[at + np.repeat(starts - (np.cumsum(lens) - lens), lens)]
-    first = np.full(len(frame.labels), len(at))
-    np.minimum.at(first, cells, at)  # each cell's first position in the scan
-    first_at = first[cells]
-    dup = first_at != at
-    return set(np.stack([owner[first_at[dup]], owner[dup]], axis=1).ravel().tolist())
-
-
 # -- fitness -------------------------------------------------------------------
 
 
@@ -638,7 +612,7 @@ class FitnessConfig:
     A ``patch_width`` x ``patch_height`` region at the centre of an otherwise
     empty ``width`` x ``height`` torus is seeded at random (each patch cell is
     A with probability ``p_a``, B with ``p_b``, else S).  The automaton runs
-    ``steps`` updates and the trailing ``window`` frames are tracked.
+    ``steps`` updates and ``track`` follows the trailing ``window`` frames.
     """
 
     width: int = 64

@@ -24,9 +24,9 @@ pass over that frame alone.
 
 The second half checks ``extract_components`` and ``canonical_shape`` (the
 one-frame pass) on random small tori against an oracle that lives only here:
-a torus BFS over ``hexgrid.neighborhood`` for components and dilations, a BFS
-lift from each component's smallest cell for shapes and anchors, and the
-shapes of translated copies.
+a torus BFS over ``hexgrid.neighborhood`` for components and dilations, the
+dilations' shared cells for proximity flags, a BFS lift from each component's
+smallest cell for shapes and anchors, and the shapes of translated copies.
 """
 
 import gc
@@ -190,13 +190,19 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
-# scans, _links calls and _clashes calls per window (60 frames each)
-SETTLED_CALLS = {"still-pair": (1, 1, 2), "period-2": (1, 1, 4), "period-8": (1, 11, 16)}
+# scans and _links calls per window (60 frames each; the lone glider's 121 frames
+# hold 96 distinct grids, and 96 distinct pairs of consecutive grids)
+SETTLED_CALLS = {
+    "still-pair": (1, 1),
+    "period-2": (1, 1),
+    "period-8": (1, 6),
+    "lone-glider": (1, 96),
+}
 
 
 @pytest.mark.parametrize("name", sorted(SETTLED_CALLS))
 def test_settled_windows_scan_link_and_check_proximity_once_per_repeat(name, monkeypatch):
-    calls = _count_calls(monkeypatch, "_scan", "_links", "_clashes")
+    calls = _count_calls(monkeypatch, "_scan", "_links")
     assert localizations_digest(track(CASES[name]())) == GOLDEN[name]
     assert tuple(calls.values()) == SETTLED_CALLS[name]
 
@@ -216,41 +222,11 @@ def test_frames_keep_a_scanned_frame_only_while_its_grid_recurs(name, most, monk
     assert max(_live_frames() - before for _ in detector._frames(tr)) == most
 
 
-def test_memo_keys_on_the_tracked_order():
-    # _clashes' set iterates in an order that can follow the order it scans in,
-    # so one frame under another order is another result
-    calls = []
-
-    def fn(frame, order):
-        calls.append(order)
-        return set(order)
-
-    memo = {}
-    for order in ([3, 67], [67, 3], [3, 67]):
-        detector._memo(memo, (0,), order, fn, None)
-    assert calls == [[3, 67], [67, 3]] and list(memo) == [((0,), (3, 67)), ((0,), (67, 3))]
-    assert list(memo[(0,), (3, 67)]) != list(memo[(0,), (67, 3)])
-
-
-def test_a_window_without_repeats_memoizes_nothing(monkeypatch):
-    memo, tables = detector._memo, []
-
-    def spy(table, *args):
-        tables.append(table)
-        return memo(table, *args)
-
-    monkeypatch.setattr(detector, "_memo", spy)
-    tr = CASES["bundled-soup"]()
-    assert len({grid.cells.tobytes() for grid in tr.frames}) == len(tr)
-    assert localizations_digest(track(tr)) == GOLDEN["bundled-soup"]
-    # one _links and one _clashes call per frame, none of them memoized
-    assert len(tables) == 2 * len(tr) - 1 and all(table is None for table in tables)
-
-
 # -- the block pass ------------------------------------------------------------
 
 FRAME_FIELDS = (
-    "cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels", "shapes", "anchors"
+    "cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels", "shapes", "anchors",
+    "clash",
 )
 
 
@@ -357,7 +333,7 @@ def _crosses(cells, h, w):
 
 def test_front_end_matches_the_bfs_oracle_on_random_tori():
     rng = np.random.default_rng(20)
-    crossed_rows = crossed_cols = spanning = 0
+    crossed_rows = crossed_cols = spanning = clashes = apart = 0
     for trial in range(120):
         h, w = (10, 12) if trial % 2 else (12, 12)
         density = rng.uniform(0.15, 0.5)
@@ -366,10 +342,17 @@ def test_front_end_matches_the_bfs_oracle_on_random_tori():
         comps = extract_components(grid)
         expected = oracle_components(grid)
         assert len(comps) == len(expected)
-        for comp, (ocells, ostates, odilated) in zip(comps, expected):
+        owners = Counter(cell for _, _, odilated in expected for cell in odilated)
+        clash = detector._scan(grid.cells[None])[0].clash
+        assert len(clash) == len(expected)
+        for comp, flag, (ocells, ostates, odilated) in zip(comps, clash, expected):
             assert comp.cells.tolist() == ocells
             assert comp.states.tolist() == ostates
             assert comp.dilated.tolist() == odilated
+            # in a clash exactly when another component's dilation shares a cell
+            assert flag == any(owners[cell] > 1 for cell in odilated)
+            clashes += flag
+            apart += not flag
             shape, anchor = canonical_shape(comp, h, w)
             assert (shape, anchor) == oracle_shape(ocells, ostates, h, w)
             rows, cols = _crosses(ocells, h, w)
@@ -377,6 +360,7 @@ def test_front_end_matches_the_bfs_oracle_on_random_tori():
             crossed_cols += cols
             spanning += _spans(ocells, h, w)
     assert crossed_rows > 20 and crossed_cols > 20 and spanning > 20
+    assert clashes > 20 and apart > 20
 
 
 def test_shapes_survive_translation_across_the_seams():
