@@ -43,8 +43,9 @@ relies on row wraps preserving parity.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -628,6 +629,15 @@ class FitnessConfig:
     count_puffers: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int:
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
+            elif type(f.default) is float and not 0 <= value:  # NaN fails too
+                raise ValueError(f"{f.name} must be a non-negative probability, got {value!r}")
         _require_even_height(self.height)
         if min(self.width, self.height) < 3:
             raise ValueError("grid dimensions must be at least 3x3")
@@ -637,8 +647,6 @@ class FitnessConfig:
             raise ValueError("trials must be >= 1")
         if self.patch_width > self.width or self.patch_height > self.height:
             raise ValueError("patch must fit inside the grid")
-        if self.p_a < 0 or self.p_b < 0:
-            raise ValueError("state probabilities must be non-negative")
         if self.p_a + self.p_b > 1:
             raise ValueError("state probabilities must sum to at most 1")
         if self.window < 1:

@@ -401,7 +401,18 @@ def test_fitness_config_validation():
         FitnessConfig(patch_width=-1)
     with pytest.raises(ValueError, match="non-negative"):
         FitnessConfig(patch_height=-2)
+    with pytest.raises(ValueError, match="p_a"):
+        FitnessConfig(p_a=float("nan"))
+    with pytest.raises(ValueError, match="p_b"):
+        FitnessConfig(p_b=float("nan"))
+    with pytest.raises(ValueError, match="trials"):
+        FitnessConfig(trials=1.5)
+    with pytest.raises(ValueError, match="steps"):
+        FitnessConfig(steps=2.5)
+    with pytest.raises(ValueError, match="patch_width"):
+        FitnessConfig(patch_width=8.0)
     FitnessConfig(patch_height=0)  # an empty soup is a valid run
+    FitnessConfig(steps=np.int64(100), trials=np.int32(2))  # numpy integers are integers
 
 
 # -- metamorphic: classes do not depend on placement or on the A/B labels ------------
