@@ -369,6 +369,94 @@ def test_propensity_is_the_rate_the_loop_uses(system):
         assert res.fired == tuple(int(k == r) for k in range(len(rates)))
 
 
+def _direct_method(system, init, t_max, seed, sample_dt=None, max_events=None, omega=None):
+    """Gillespie's direct method written plainly over ``propensity``.
+
+    Two draws per event from one uniform stream: the first sets the waiting
+    time, the second picks the first channel whose running sum is not below
+    it.  The pre-event counts are recorded at every lattice point passed.
+    """
+    rng = np.random.default_rng(seed)
+    counts = {sp: init.get(sp, 0) for sp in system.species}
+    omega = omega or float(sum(counts.values())) or 1.0
+    if sample_dt is None:
+        lattice = [0.0, float(t_max)]
+    else:
+        lattice = [k * sample_dt for k in range(int(math.floor(t_max / sample_dt)) + 1)]
+        if lattice[-1] < t_max:
+            lattice.append(float(t_max))
+    budget = math.inf if max_events is None else max_events
+    times, rows, fired = [], [], [0] * len(system.reactions)
+    t, events = 0.0, 0
+    while True:
+        rates = [rc.propensity(rx, counts, omega) for rx in system.reactions]
+        a0 = 0.0
+        for a in rates:
+            a0 += a
+        if a0 == 0.0:
+            reason = "absorbed"
+            break
+        if events >= budget:
+            reason = "max_events"
+            break
+        u, u2 = rng.random(2).tolist()
+        t_next = t - math.log(1.0 - u) / a0
+        if t_next > t_max:
+            t, reason = t_max, "t_max"
+            break
+        while len(times) < len(lattice) and lattice[len(times)] <= t_next:
+            times.append(lattice[len(times)])
+            rows.append([counts[sp] for sp in system.species])
+        acc = 0.0
+        for r, a in enumerate(rates):
+            acc += a
+            if not acc < u2 * a0:
+                break
+        rx = system.reactions[r]
+        for sp, d in zip(system.species, rx.delta(system.species)):
+            counts[sp] += d
+        fired[r] += 1
+        t, events = t_next, events + 1
+    if reason == "max_events":
+        times.append(t)
+        rows.append([counts[sp] for sp in system.species])
+    else:
+        rest = lattice[len(times):]
+        times += rest
+        rows += [[counts[sp] for sp in system.species]] * len(rest)
+    return times, rows, tuple(fired), events, t, reason
+
+
+@pytest.mark.parametrize(
+    "system, init, t_max, seeds, kw",
+    [
+        (rc.standard_system(), {"A": 150, "B": 150, "S": 150}, 1.5, (0, 1, 2),
+         dict(sample_dt=0.1)),
+        # only B + S -> 2B and B -> S can fire: the last channel, which fires untested
+        (rc.standard_system(), {"B": 30, "S": 5}, 500.0, (9,), dict(sample_dt=25.0)),
+        (rc.standard_system(), {"A": 300, "B": 200, "S": 100}, 1e9, (3, 4),
+         dict(max_events=150, omega=75.0)),
+        (_many_channel_system(150, 0), {"A": 40, "B": 30, "S": 20}, 0.1, (5, 6),
+         dict(sample_dt=0.004)),
+        (_many_channel_system(150, 0), {"A": 1234, "B": 567, "S": 89}, 1e9, (7,),
+         dict(max_events=30)),
+        (_many_channel_system(2500, 1), {"A": 500, "B": 500, "S": 500}, 1e9, (8,),
+         dict(max_events=3)),
+    ],
+    ids=["standard-lattice", "standard-last-channel", "standard-budget",
+         "150-lattice", "150-budget", "2500-budget"],
+)
+def test_whole_trajectories_match_a_plain_direct_method(system, init, t_max, seeds, kw):
+    # every event's draws, rates and channel choice, not only the first
+    for seed in seeds:
+        res = rc.ssa_run(system, init, t_max, np.random.default_rng(seed), **kw)
+        times, rows, fired, events, t_end, reason = _direct_method(
+            system, init, t_max, seed, **kw)
+        assert res.times.tolist() == times
+        assert res.counts.tolist() == rows
+        assert (res.fired, res.events, res.t_end, res.reason) == (fired, events, t_end, reason)
+
+
 def test_thousands_of_channels_compile():
     # one flat elif chain this long would exceed the compiler's nesting limit
     system = rc.parse_system("\n".join(f"A -> B @ {1 + k % 5}" for k in range(2500)))
