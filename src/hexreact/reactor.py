@@ -10,18 +10,18 @@ particle total, so concentrations start at counts/omega).
 ``ssa_run`` writes its event loop afresh for each call: one Python function
 specialised to the system and omega (``_event_loop``).  The counts live in
 locals, each channel's propensity is an unrolled expression, the running
-sums are built in channel order and an if/elif chain on them picks the
-channel that fires, so an event walks no list and runs no inner loop.  The
-loop is exact, not an approximation of the direct method: every propensity
-multiplies the same folded coefficient (``_channel``) by the same falling
-factorials in the same order (``_law``), the two uniform draws of an event
-come from the same blocks in the same order, and ``not s_r < target`` picks
-the first channel whose running sum reaches the target, as a linear scan
-would.  Only integers -- species indices, stoichiometries and count changes
--- are written into the generated source.  The float coefficients are
-passed in as values, so each one round-trips exactly, and no reaction or
-species name reaches ``exec``.  ``propensity`` evaluates the same ``_law``
-expression, so it returns the very rate the loop uses.
+sums are built in channel order and a flat ladder of tests on them picks
+the channel that fires, so an event walks no list and runs no inner loop.
+The loop is exact, not an approximation of the direct method: every
+propensity multiplies the same folded coefficient (``_channel``) by the same
+falling factorials in the same order (``_law``), the two uniform draws of an
+event come from the same blocks in the same order, and ``not s_r < target``
+picks the first channel whose running sum reaches the target, as a linear
+scan would.  Only integers -- species indices, stoichiometries and count
+changes -- are written into the generated source.  The float coefficients
+are passed in as values, so each one round-trips exactly, and no reaction
+or species name reaches ``exec``.  ``propensity`` evaluates the same
+``_law`` expression, so it returns the very rate the loop uses.
 
 Every reaction in the standard scheme conserves the particle total, which
 makes long runs cheap to validate: the sum S+A+B never moves.
@@ -255,7 +255,7 @@ class SSAResult:
 _BLOCK = 1 << 16
 
 _LOOP = """\
-def loop(coefs, counts, t_max, max_events, lattice, rng, rec_times, rec_counts):
+def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
     {c} = coefs
     {n} = counts
     {f} = {zeros}
@@ -284,65 +284,43 @@ def loop(coefs, counts, t_max, max_events, lattice, rng, rec_times, rec_counts):
             reason = "t_max"
             break
         while t_sample <= t_next:
-            rec_times.append(t_sample)
             rec_counts.append(({n}))
             next_sample += 1
             t_sample = lattice[next_sample]
         target = buf[k + 1] * total
         k += 2
-{fire}
         t = t_next
         events += 1
-    return ({n}), t, events, reason, next_sample, ({f})
+{fire}
+    return ({n}), t, events, reason, ({f})
 """
-
-
-_GROUP = 64
-
-
-def _chain(sums, bodies) -> list:
-    """An if/elif chain running the first body whose sum is not below ``target``.
-
-    The last body needs no test: the target never exceeds the total.
-    """
-    if len(bodies) == 1:
-        return bodies[0]
-    lines = []
-    for i, (s, body) in enumerate(zip(sums, bodies)):
-        if i == len(bodies) - 1:
-            lines.append("else:")
-        else:
-            lines.append(f"{'elif' if i else 'if'} not {s} < target:")
-        lines += ["    " + line for line in body]
-    return lines
 
 
 def _event_loop(system: ReactionSystem, omega: float):
     """Generate ``ssa_run``'s event loop for one system and volume.
 
     Returns ``(loop, coefs)``.  ``loop`` holds the counts in locals ``n0, n1,
-    ...``, unrolls every channel's ``_law`` and picks the firing channel by an
-    if/elif chain over the running sums; ``coefs`` are the channel
-    coefficients it unpacks at entry, passed as values so no float is printed.
+    ...``, unrolls every channel's ``_law`` and picks the firing channel by a
+    flat ladder of tests over the running sums: each channel but the last is
+    ``if not s{r} < target:``, its moves and ``continue``, and the last
+    channel fires untested, since the target never exceeds the total.  The
+    ladder nests nothing, so no channel count meets the compiler's nesting
+    limit.  ``coefs`` are the channel coefficients the loop unpacks at entry,
+    passed as values so no float is printed.
     """
     species, reactions = system.species, system.reactions
-    coefs, sums, bodies = [], [], []
+    coefs, sums, fire = [], [], []
     for r, rx in enumerate(reactions):
         coef, needs, moves = _channel(rx, species, omega)
         coefs.append(coef)
         law = _law(r, needs)
         sums.append(f"s{r} = s{r - 1} + {law}" if r else f"s{r} = {law}")
         body = [f"n{k} {'+' if d > 0 else '-'}= {abs(d)}" for k, d in moves]
-        bodies.append(body + [f"f{r} += 1"])
+        body.append(f"f{r} += 1")
+        if r < len(reactions) - 1:
+            body = [f"if not s{r} < target:"] + ["    " + line for line in body + ["continue"]]
+        fire += body
     sums.append(f"total = s{len(reactions) - 1}" if reactions else "total = 0.0")
-    # the running sums never decrease, so the first channel whose sum reaches
-    # the target lies in the first group whose last sum does; grouping only
-    # bounds the elif nesting (the compiler rejects chains some thousands deep)
-    groups = [range(g, min(g + _GROUP, len(reactions))) for g in range(0, len(reactions), _GROUP)]
-    fire = _chain(
-        [f"s{g[-1]}" for g in groups],
-        [_chain([f"s{r}" for r in g], [bodies[r] for r in g]) for g in groups],
-    )
 
     def names(prefix, count):
         return ", ".join(f"{prefix}{i}" for i in range(count)) + "," if count else "()"
@@ -412,32 +390,30 @@ def ssa_run(
         lattice = [k * sample_dt for k in range(int(math.floor(t_max / sample_dt)) + 1)]
         if lattice[-1] < t_max:
             lattice.append(float(t_max))
-    rec_times: list[float] = []
     rec_counts: list[tuple] = []
     loop, coefs = _event_loop(system, omega)
     # the loop records the pre-event state at every lattice point it jumps
     # across; the inf sentinel ends that scan without a bounds test
-    n, t, events, reason, next_sample, fired = loop(
+    n, t, events, reason, fired = loop(
         coefs, n, t_max, math.inf if max_events is None else max_events,
-        lattice + [math.inf], rng, rec_times, rec_counts,
+        lattice + [math.inf], rng, rec_counts,
     )
 
     if reason == "max_events":
         # the lattice beyond t is unreachable, but the state at the moment
         # the budget ran out is known -- record it so the series ends live
-        rec_times.append(t)
+        times = lattice[: len(rec_counts)] + [t]
         rec_counts.append(n)
     else:
         # no further events fire before t_max: the state holds to the horizon
         # (t_end stays at the absorption time when reason == "absorbed")
-        rest = lattice[next_sample:]
-        rec_times += rest
-        rec_counts += [n] * len(rest)
+        times = lattice
+        rec_counts += [n] * (len(lattice) - len(rec_counts))
 
     return SSAResult(
         species=species,
-        times=np.asarray(rec_times, dtype=float),
-        counts=np.asarray(rec_counts, dtype=np.int64).reshape(len(rec_times), len(species)),
+        times=np.asarray(times, dtype=float),
+        counts=np.asarray(rec_counts, dtype=np.int64).reshape(len(times), len(species)),
         events=events,
         t_end=t,
         reason=reason,

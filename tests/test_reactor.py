@@ -343,7 +343,7 @@ def _many_channel_system(count, seed):
 
 @pytest.mark.parametrize(
     "system",
-    # the 150-channel system spreads the channel choice over several groups
+    # the 150-channel system makes the channel choice a ladder of 149 tests
     [rc.standard_system(), _many_channel_system(150, 0)],
     ids=["standard", "150-channels"],
 )
@@ -458,7 +458,7 @@ def test_whole_trajectories_match_a_plain_direct_method(system, init, t_max, see
 
 
 def test_thousands_of_channels_compile():
-    # one flat elif chain this long would exceed the compiler's nesting limit
+    # the channel ladder nests nothing, so its length meets no compiler limit
     system = rc.parse_system("\n".join(f"A -> B @ {1 + k % 5}" for k in range(2500)))
     res = rc.ssa_run(system, {"A": 40}, 1e9, np.random.default_rng(0))
     assert res.reason == "absorbed"
