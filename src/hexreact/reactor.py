@@ -365,8 +365,13 @@ def ssa_run(
     _finite_positive("t_max", t_max)
     if sample_dt is not None:
         _finite_positive("sample_dt", sample_dt)
-    if max_events is not None and max_events < 0:
-        raise ValueError(f"max_events must be nonnegative, got {max_events!r}")
+    if max_events is not None:
+        try:
+            operator.index(max_events)
+        except TypeError:
+            raise ValueError(f"max_events must be an integer, got {max_events!r}") from None
+        if max_events < 0:
+            raise ValueError(f"max_events must be nonnegative, got {max_events!r}")
     species = system.species
     unknown = set(init) - set(species)
     if unknown:

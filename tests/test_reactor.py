@@ -278,6 +278,8 @@ def test_run_takes_numpy_integer_counts():
         (dict(max_events=-3), "max_events must be nonnegative"),
         (dict(omega=1e-200), "omega=1e-200 puts the rate of .* out of float range"),
         (dict(omega=1e200), r"omega=1e\+200 puts the rate of .* out of float range"),
+        (dict(max_events=2.5), "max_events must be an integer, got 2.5"),
+        (dict(max_events=math.nan), "max_events must be an integer, got nan"),
     ],
 )
 def test_run_rejects_non_finite_and_negative_inputs(kw, message):
