@@ -14,6 +14,7 @@ hits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,15 @@ class EAConfig:
     fitness: FitnessConfig = field(default_factory=FitnessConfig)
 
     def __post_init__(self):
+        counts = ["population", "tournament", "elitism", "stall_generations"]
+        if self.max_generations is not None:
+            counts.append("max_generations")
+        for name in counts:
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.population < 2:
             raise ValueError("population must be at least 2")
         if not 1 <= self.tournament <= self.population:

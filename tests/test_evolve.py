@@ -179,3 +179,9 @@ def test_config_validation():
         EAConfig(elitism=40)
     with pytest.raises(ValueError):
         EAConfig(stall_generations=0)
+    # fractional counts used to fail inside the run or run a rounded count
+    for name, value in [("population", 2.5), ("tournament", 1.5), ("elitism", 0.5),
+                        ("stall_generations", 1.5), ("max_generations", 1.5)]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            EAConfig(**{name: value})
+    EAConfig(population=np.int64(4), max_generations=None)  # numpy integers are integers
