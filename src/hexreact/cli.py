@@ -104,6 +104,11 @@ def cmd_simulate(args) -> int:
 def cmd_detect(args) -> int:
     rule = load_rule(args.rule)
     grid = _read_grid(args.grid)
+    # the tracker's own checks, made before the run rather than after it
+    if grid.height % 2:
+        raise ValueError("tracking requires an even grid height (torus parity)")
+    if args.p_max < 1:
+        raise ValueError("p_max must be >= 1")
     traj = run(grid, rule, args.steps, keep_last=args.window)
     locs = track(traj, p_max=args.p_max)
     lines = [REPORT_HEADER] + report_rows(locs)

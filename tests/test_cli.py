@@ -3,12 +3,13 @@
 import argparse
 import hashlib
 import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hexreact import analysis
+from hexreact import analysis, cli
 from hexreact.cli import build_parser, main
 from hexreact.detector import FitnessConfig
 from hexreact.engine import parse_frames
@@ -328,6 +329,26 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     rc = main(["detect", "--rule", str(bad_rule), "--grid", str(grid),
                "--out", str(tmp_path / "r.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "height, p_max, message",
+    [(65, 12, "tracking requires an even grid height"), (64, 0, r"p_max must be >= 1")],
+    ids=["odd-height", "p-max-0"],
+)
+def test_detect_rejects_what_the_tracker_would_before_the_run(
+        glider_files, tmp_path, monkeypatch, capsys, height, p_max, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("detect ran the automaton before checking its inputs")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    rule, _ = glider_files
+    grid = tmp_path / "g.txt"
+    grid.write_text(Grid.filled(height, 64).to_text())
+    rc = main(["detect", "--rule", rule, "--grid", str(grid), "--steps", "30000",
+               "--p-max", str(p_max), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert re.search(f"hexreact: {message}", capsys.readouterr().err)
 
 
 def test_unknown_subcommand_exits_two():
