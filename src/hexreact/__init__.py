@@ -17,6 +17,7 @@ from .detector import (
     count_mobile,
     extract_components,
     fitness,
+    mobile_localizations,
     random_patch_grid,
     soup_localizations,
     track,
@@ -85,6 +86,7 @@ __all__ = [
     "find_glider",
     "fitness",
     "guided_rule",
+    "mobile_localizations",
     "mutate",
     "necessary_transitions",
     "neighborhood",

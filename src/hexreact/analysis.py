@@ -35,6 +35,7 @@ from .detector import (
     FitnessConfig,
     Localization,
     extract_components,
+    mobile_localizations,
     soup_localizations,
     track,
 )
@@ -245,7 +246,7 @@ def find_glider(
     returned trace.
     """
     for seed in rng.integers(0, 2**63, size=cfg.trials):
-        for loc in soup_localizations(rule, cfg, int(seed)):
+        for loc in mobile_localizations(rule, cfg, int(seed)):
             if loc.loc_class != GLIDER:
                 continue
             trace = replant_glider(rule, loc.shapes[-1], cfg.p_max)
@@ -628,9 +629,7 @@ def class_census(rset: ReducedRuleSet, cfg: FitnessConfig, indices=None) -> list
         counts = {GLIDER: 0, PUFFER_TRAIN: 0}
         first_soup, verified, first, first_shape = None, 0, None, None
         for k in range(cfg.trials):
-            for loc in soup_localizations(rule, cfg, [index, k]):
-                if loc.loc_class not in MOBILE_CLASSES:
-                    continue
+            for loc in mobile_localizations(rule, cfg, [index, k]):
                 first_soup = k if first_soup is None else first_soup
                 counts[loc.loc_class] += 1
                 if loc.loc_class != GLIDER:

@@ -36,6 +36,15 @@ reads its two frames and nothing else; ``track`` stores its result on the
 later frame under the first-occurrence id of the earlier one, and a repeated
 pair of grids reuses it.  A stored result lives exactly as long as its frame.
 
+``_ends`` yields each track as it ends; ``track`` builds a Localization for
+every one, and ``mobile_localizations`` only for those that can be mobile.
+The rest are Unresolved whatever their shapes: a track that lived one frame
+has no period, since ``classify`` needs 2p >= 2 frames, and one ended by a
+merge, split or proximity is Unresolved by definition.  In soups that do
+not settle nearly every track is skipped, most as a first-frame proximity kill.
+Filtering a stable sort keeps its order, so ``mobile_localizations`` returns
+``track``'s mobile tracks in ``track``'s order.
+
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
 relies on row wraps preserving parity.
@@ -509,7 +518,7 @@ class _Track:
             self.loc.trail_size = int(hits[1].sum())
 
 
-def _finish(trk: _Track | None, t: int, p_max: int, frame: _Frame, k: int, reason) -> Localization:
+def _finish(trk: _Track | None, t: int, frame: _Frame, k: int, reason, p_max: int) -> Localization:
     """End the track last on component ``k`` of ``frame``: ``trk``, or when that is None,
     a track that lives on ``frame`` (time ``t``) alone."""
     if trk is None:
@@ -521,6 +530,50 @@ def _finish(trk: _Track | None, t: int, p_max: int, frame: _Frame, k: int, reaso
     loc.cells_last, loc.states_last = frame.cells[lo:hi], frame.states[lo:hi]
     loc.terminated = reason
     return loc
+
+
+def _ends(tr: Trajectory, p_max: int):
+    """Yield ``(trk, t, frame, k, reason)`` as each track of ``tr`` ends, in discovery order.
+
+    The track ends on component ``k`` of ``frame`` (time ``t``); ``trk`` is its
+    ``_Track``, or None for a track that lived on that frame alone, and
+    ``reason`` is ``"merge"``, ``"split"``, ``"proximity"`` or None.  The
+    grid and ``p_max`` checks run on the first ``next``.
+    """
+    h, w = tr.frames[0].shape
+    _require_even_height(h)
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
+
+    tracks: dict[int, _Track | None] = {}  # None: a track still on its first frame
+    prev = prev_id = None
+    for t, (frame_id, frame) in enumerate(_frames(tr), start=tr.t0):
+        if tracks:
+            if prev_id not in frame.linked:
+                frame.linked[prev_id] = _links(prev, frame)
+            nsucc, succ, nclaim = frame.linked[prev_id]
+
+        next_tracks: dict[int, _Track | None] = {}
+        for prev_idx, trk in tracks.items():
+            n, idx = nsucc[prev_idx], succ[prev_idx]
+            if n == 1 and nclaim[idx] == 1:
+                if trk is None:
+                    trk = _Track(t - 1, p_max, prev, prev_idx)
+                trk.extend(frame, idx, h, w)
+                next_tracks[idx] = trk
+            else:  # died out (still classifiable), merged into another, or split
+                yield trk, t - 1, prev, prev_idx, None if n == 0 else "merge" if n == 1 else "split"
+
+        for idx in range(len(frame)):
+            next_tracks.setdefault(idx, None)
+
+        for idx in np.flatnonzero(frame.clash).tolist():
+            yield next_tracks.pop(idx), t, frame, idx, "proximity"
+        tracks = next_tracks
+        prev, prev_id = frame, frame_id
+
+    for idx, trk in tracks.items():
+        yield trk, t, prev, idx, None
 
 
 def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
@@ -540,41 +593,7 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
     Returns one classified Localization per track; ``first_frame`` counts
     from ``tr.t0``, so a run trimmed by ``keep_last`` keeps its times.
     """
-    h, w = tr.frames[0].shape
-    _require_even_height(h)
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-
-    done: list[Localization] = []
-    tracks: dict[int, _Track | None] = {}  # None: a track still on its first frame
-    prev = prev_id = None
-    for t, (frame_id, frame) in enumerate(_frames(tr), start=tr.t0):
-        if tracks:
-            if prev_id not in frame.linked:
-                frame.linked[prev_id] = _links(prev, frame)
-            nsucc, succ, nclaim = frame.linked[prev_id]
-
-        next_tracks: dict[int, _Track | None] = {}
-        for prev_idx, trk in tracks.items():
-            n, idx = nsucc[prev_idx], succ[prev_idx]
-            if n == 1 and nclaim[idx] == 1:
-                if trk is None:
-                    trk = _Track(t - 1, p_max, prev, prev_idx)
-                trk.extend(frame, idx, h, w)
-                next_tracks[idx] = trk
-            else:  # died out (still classifiable), merged into another, or split
-                reason = None if n == 0 else "merge" if n == 1 else "split"
-                done.append(_finish(trk, t - 1, p_max, prev, prev_idx, reason))
-
-        for idx in range(len(frame)):
-            next_tracks.setdefault(idx, None)
-
-        for idx in np.flatnonzero(frame.clash).tolist():
-            done.append(_finish(next_tracks.pop(idx), t, p_max, frame, idx, "proximity"))
-        tracks = next_tracks
-        prev, prev_id = frame, frame_id
-
-    done.extend(_finish(trk, t, p_max, prev, idx, None) for idx, trk in tracks.items())
+    done = [_finish(*end, p_max) for end in _ends(tr, p_max)]
     done.sort(key=lambda l: l.first_frame)  # stable: frame order, then discovery order
     for loc in done:
         classify(loc)
@@ -676,11 +695,31 @@ def count_mobile(locs: list[Localization], count_puffers: bool = True) -> int:
     return sum(1 for loc in locs if loc.loc_class in wanted)
 
 
+def _soup(rule: RuleMatrix, cfg: FitnessConfig, seed) -> Trajectory:
+    """The trailing window of one random soup: ``seed`` -> patch -> run."""
+    soup = random_patch_grid(cfg, np.random.default_rng(seed))
+    return run(soup, rule, cfg.steps, keep_last=cfg.window)
+
+
 def soup_localizations(rule: RuleMatrix, cfg: FitnessConfig, seed) -> list[Localization]:
     """Track one random soup: ``seed`` -> patch -> run -> trailing window."""
-    soup = random_patch_grid(cfg, np.random.default_rng(seed))
-    traj = run(soup, rule, cfg.steps, keep_last=cfg.window)
-    return track(traj, p_max=cfg.p_max)
+    return track(_soup(rule, cfg, seed), p_max=cfg.p_max)
+
+
+def mobile_localizations(rule: RuleMatrix, cfg: FitnessConfig, seed) -> list[Localization]:
+    """The Glider and PufferTrain tracks of ``soup_localizations(rule, cfg, seed)``, in order.
+
+    Only tracks that lived past one frame and were not ended by a merge,
+    split or proximity are built and classified; every other track is
+    Unresolved (see the module docstring).
+    """
+    locs = [
+        _finish(trk, t, frame, k, None, cfg.p_max)
+        for trk, t, frame, k, reason in _ends(_soup(rule, cfg, seed), cfg.p_max)
+        if trk is not None and reason is None
+    ]
+    locs.sort(key=lambda l: l.first_frame)  # stable, as in track
+    return [loc for loc in locs if classify(loc) in MOBILE_CLASSES]
 
 
 def fitness(rule: RuleMatrix, cfg: FitnessConfig, rng: np.random.Generator) -> float:
@@ -693,7 +732,7 @@ def fitness(rule: RuleMatrix, cfg: FitnessConfig, rng: np.random.Generator) -> f
     """
     seeds = rng.integers(0, 2**63, size=cfg.trials)
     total = sum(
-        count_mobile(soup_localizations(rule, cfg, int(seed)), cfg.count_puffers)
+        count_mobile(mobile_localizations(rule, cfg, int(seed)), cfg.count_puffers)
         for seed in seeds
     )
     return total / (cfg.width * cfg.height * cfg.trials)

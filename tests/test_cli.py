@@ -153,13 +153,13 @@ def test_likelihood_hunts_each_glider_over_trials_soups(monkeypatch, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(dead + "\n" + glider + "\n")
     soups = Counter()
-    real = analysis.soup_localizations
+    real = analysis.mobile_localizations
 
     def spy(rule, cfg, seed):
         soups[rule.to_genome()] += 1
         return real(rule, cfg, seed)
 
-    monkeypatch.setattr(analysis, "soup_localizations", spy)
+    monkeypatch.setattr(analysis, "mobile_localizations", spy)
     out = tmp_path / "F.csv"
     rc = main([
         "likelihood", "--corpus", str(corpus), "--out", str(out), "--seed", "99",

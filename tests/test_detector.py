@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hexreact.analysis import bundled_glider_rule, bundled_glider_seed
+from hexreact.analysis import CLASS_SWEEP_PROTOCOL, bundled_glider_rule, bundled_glider_seed
 from hexreact.detector import (
     GLIDER,
+    MOBILE_CLASSES,
     OSCILLATOR,
     PUFFER_TRAIN,
     STILL_LIFE,
@@ -19,13 +20,16 @@ from hexreact.detector import (
     count_mobile,
     extract_components,
     fitness,
+    mobile_localizations,
     random_patch_grid,
     report_rows,
+    soup_localizations,
     track,
 )
 from hexreact.engine import Trajectory, run
 from hexreact.hexgrid import CellState, Grid, neighborhood
 from hexreact.rules import PAIRS, RuleMatrix, random_rule
+from test_tracker_golden import PUFFER_RULE, localizations_digest
 
 
 def grid_with(h, w, cells):
@@ -345,6 +349,49 @@ def test_fitness_is_deterministic_per_seed():
     a = fitness(rule, cfg, np.random.default_rng(11))
     b = fitness(rule, cfg, np.random.default_rng(11))
     assert a == b
+
+
+# rule 135 of enumerate_rules(reference_reduced_set()): its class-sweep soups
+# settle and leave gliders and puffer trains (first_soup 0 in the census fixture)
+SETTLING_MOBILE_RULE = "SSSSSSSSSAASSSSSBASSSSASSSASSSSSSSSS"
+
+MOBILE_PATH_CASES = {
+    "bundled": lambda: (bundled_glider_rule(), FitnessConfig(), [0, 1, 3]),
+    "puffer": lambda: (RuleMatrix.from_genome(PUFFER_RULE), FitnessConfig(), [1, 2]),
+    "dense": lambda: (random_rule(np.random.default_rng(5)), FitnessConfig(), [0, 2]),
+    "class-settling": lambda: (
+        RuleMatrix.from_genome(SETTLING_MOBILE_RULE),
+        FitnessConfig(**CLASS_SWEEP_PROTOCOL),
+        [[135, 0], [135, 1], [135, 6], [135, 7]],  # census seeds; soup 1 leaves none
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOBILE_PATH_CASES))
+def test_mobile_localizations_are_the_mobile_tracks_of_the_soup(name):
+    rule, cfg, seeds = MOBILE_PATH_CASES[name]()
+    found = Counter()
+    for seed in seeds:
+        got = mobile_localizations(rule, cfg, seed)
+        want = [l for l in soup_localizations(rule, cfg, seed) if l.loc_class in MOBILE_CLASSES]
+        assert len(got) == len(want)
+        assert localizations_digest(got) == localizations_digest(want)
+        found.update(l.loc_class for l in got)
+    if name == "dense":
+        assert not found  # thousands of tracks, all Unresolved
+    else:
+        assert found[GLIDER] and found[PUFFER_TRAIN]
+
+
+@pytest.mark.parametrize("count_puffers", [True, False])
+@pytest.mark.parametrize("name", ["bundled", "puffer"])
+def test_fitness_counts_the_mobile_tracks_of_its_soups(name, count_puffers):
+    rule, _, _ = MOBILE_PATH_CASES[name]()
+    cfg = FitnessConfig(trials=3, count_puffers=count_puffers)
+    seeds = np.random.default_rng(4).integers(0, 2**63, size=cfg.trials)
+    total = sum(count_mobile(soup_localizations(rule, cfg, int(s)), count_puffers) for s in seeds)
+    assert total > 0
+    assert fitness(rule, cfg, np.random.default_rng(4)) == total / (cfg.width * cfg.height * cfg.trials)
 
 
 def test_random_patch_grid_confines_seeding_to_the_patch():
