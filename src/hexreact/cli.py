@@ -109,6 +109,8 @@ def cmd_detect(args) -> int:
         raise ValueError("tracking requires an even grid height (torus parity)")
     if args.p_max < 1:
         raise ValueError("p_max must be >= 1")
+    if args.window > args.steps + 1:  # as FitnessConfig: run keeps at most steps + 1 frames
+        raise ValueError("window longer than the run")
     traj = run(grid, rule, args.steps, keep_last=args.window)
     locs = track(traj, p_max=args.p_max)
     lines = [REPORT_HEADER] + report_rows(locs)

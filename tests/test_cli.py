@@ -351,6 +351,20 @@ def test_detect_rejects_what_the_tracker_would_before_the_run(
     assert re.search(f"hexreact: {message}", capsys.readouterr().err)
 
 
+def test_detect_rejects_a_window_longer_than_the_run(glider_files, tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("detect ran the automaton before checking its inputs")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    rule, grid = glider_files
+    out = tmp_path / "r.csv"
+    rc = main(["detect", "--rule", rule, "--grid", grid, "--steps", "10",
+               "--window", "12", "--out", str(out)])
+    assert rc == 1
+    assert "hexreact: window longer than the run" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
