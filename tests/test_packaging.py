@@ -1,20 +1,25 @@
-"""pyproject.toml covers every bundled fixture and every module the tests import."""
+"""pyproject.toml covers every bundled fixture and every module the tests import,
+and no hexreact module reaches for another one's private names."""
 
+import ast
 import sys
 from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
-
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hexreact"
 
 
-def test_every_fixture_matches_a_package_data_glob():
+def _pyproject() -> dict:
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["hexreact"]
+        return tomllib.load(fh)
+
+
+def test_every_fixture_matches_a_package_data_glob():
+    globs = _pyproject()["tool"]["setuptools"]["package-data"]["hexreact"]
     fixtures = [p for p in (PACKAGE / "fixtures").rglob("*") if p.is_file()]
     assert fixtures
     missing = [
@@ -26,8 +31,7 @@ def test_every_fixture_matches_a_package_data_glob():
 
 
 def test_every_module_the_tests_import_is_declared():
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        project = tomllib.load(fh)["project"]
+    project = _pyproject()["project"]
     declared = {
         req.split(">")[0].split("=")[0].strip()
         for req in project["dependencies"] + project["optional-dependencies"]["test"]
@@ -41,3 +45,57 @@ def test_every_module_the_tests_import_is_declared():
                 imported.add(words[1].split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - local
     assert third_party and third_party <= declared
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_cross_module_uses(source: str) -> list[str]:
+    """``_``-prefixed names a module imports from, or reads off, another hexreact module."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hexreact")):
+            package = node.module in (None, "hexreact")  # from . import analysis
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+                elif package:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("hexreact"):
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):  # hexreact.analysis._x
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    found = {
+        path.name: uses
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (uses := private_cross_module_uses(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_the_private_name_check_sees_imports_and_attribute_reads():
+    source = (
+        "from . import analysis, __version__\n"
+        "from .detector import _ends, track\n"
+        "import hexreact.engine as eng\n"
+        "analysis._x()\n"
+        "eng._pack\n"
+        "analysis.find_glider\n"
+        "self._cache\n"
+    )
+    assert sorted(private_cross_module_uses(source)) == [
+        "analysis._x (line 4)", "eng._pack (line 5)", "from .detector import _ends",
+    ]
