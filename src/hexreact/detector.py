@@ -19,22 +19,27 @@ Cells are keyed ``t * h * w + cell``, so no component crosses frames.  The
 pass labels components by root hooking over the neighbour table, takes every
 component's sorted cells, states and one-ring dilation from sorts of
 (component, cell) keys, flags the components in proximity from one sort of the
-dilations' (frame, cell) keys, and takes every canonical shape and anchor from
+dilations' (frame, cell) keys, and takes canonical shapes and anchors from
 one sort of (component, row, axial column) keys, on coordinates ``_lift``
-frees from the torus wrap.  ``track`` links frame to frame with array
-operations over each frame's views of its block, and a component that lives
-one frame gets its Localization without a ``_Track``.  ``extract_components``
-is the pass over a one-frame block, and ``canonical_shape`` runs ``_shapes``
-on one component.
+frees from the torus wrap.  Which components get a shape is the caller's
+choice: ``track`` shapes every one, ``mobile_localizations`` only those not
+flagged for proximity (a flagged component's track ends on that frame, and
+the mobile path skips it), and ``extract_components`` none.  ``track`` links
+frame to frame with array operations over each frame's views of its block,
+and a component that lives one frame gets its Localization without a
+``_Track``.  ``extract_components`` is the pass over a one-frame block, and
+``canonical_shape`` runs ``_shapes`` on one component.
 
 A settled soup's window repeats a few grids over and over, so ``track`` does
 each grid's work once.  ``_frames`` keys every frame by its bytes and scans
 only first occurrences; a repeated frame gets the ``_Frame`` scanned at its
 first occurrence.  That is exact: equal grids scan to equal frames, whatever
 block they fall in.  Proximity is a flag of the scanned frame, so ``_links``
-reads its two frames and nothing else; ``track`` stores its result on the
-later frame under the first-occurrence id of the earlier one, and a repeated
-pair of grids reuses it.  A stored result lives exactly as long as its frame.
+reads its two frames and nothing else.  When the later frame's grid recurs
+in the window, ``_ends`` stores the result on that frame under the
+first-occurrence id of the earlier one, and a repeated pair of grids reuses
+it; a pair whose later grid does not recur cannot repeat, so its result is
+not kept.  A stored result lives exactly as long as its frame.
 
 ``_ends`` yields each track as it ends; ``track`` builds a Localization for
 every one, and ``mobile_localizations`` only for those that can be mobile.
@@ -43,7 +48,9 @@ has no period, since ``classify`` needs 2p >= 2 frames, and one ended by a
 merge, split or proximity is Unresolved by definition.  In soups that do
 not settle nearly every track is skipped, most as a first-frame proximity kill.
 Filtering a stable sort keeps its order, so ``mobile_localizations`` returns
-``track``'s mobile tracks in ``track``'s order.
+``track``'s mobile tracks in ``track``'s order.  The skipped tracks include
+every one that ends by proximity, so the mobile path never reads the shape of
+a flagged component and its scan computes none.
 
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
@@ -112,14 +119,18 @@ class _Frame:
     ``dilated[dil_bounds[k]:dil_bounds[k + 1]]`` (sorted), and ``dil_comp``
     names the component of each dilated entry.  ``labels`` maps every flat
     cell to its component, or -1 on substrate.  ``shapes`` and ``anchors``
-    hold each component's canonical shape and torus anchor (see ``_shapes``).
+    hold each component's canonical shape and torus anchor (see ``_shapes``),
+    or None where the scan did not shape it: on ``track``'s frames every
+    component has both, on ``mobile_localizations``' frames only those not
+    flagged ``clash``, and on ``extract_components``' frame none.
 
     ``clash[k]`` flags a component within two cells of another one.  Two
     components on the same frame always sit at least two cells apart (closer
     and they would be one component); their dilations intersect exactly when
     the gap is two or less, i.e. when they can influence each other's next
-    step.  ``linked`` holds ``track``'s ``_links`` results into this frame,
-    keyed by the first-occurrence id of the previous frame.
+    step.  ``linked`` holds ``_ends``' ``_links`` results into this frame,
+    keyed by the first-occurrence id of the previous frame, when the frame's
+    grid recurs later in the window.
     """
 
     __slots__ = ("cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels",
@@ -164,12 +175,15 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _scan(block: np.ndarray, with_shapes: bool = True) -> list[_Frame]:
+def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
     """Every frame of ``block``, shape ``(frames, h, w)``, from one array pass.
 
     Cells are keyed ``t * h * w + cell``, so no component crosses frames.
     Each frame gets views of the block's arrays, its components counted from 0.
-    Without ``with_shapes`` every shape and anchor is None.
+    ``shaped`` names the components that get a canonical shape and anchor:
+    ``"all"`` (for ``track``), ``"unflagged"``, those not flagged ``clash``
+    (for ``mobile_localizations``), or ``"none"`` (for ``extract_components``).
+    Every other shape and anchor is None.
     """
     nf, h, w = block.shape
     _require_even_height(h)
@@ -204,8 +218,16 @@ def _scan(block: np.ndarray, with_shapes: bool = True) -> list[_Frame]:
     clash[dil_comp[order[shared]]] = True
     clash[dil_comp[order[shared + 1]]] = True
     shapes = anchors = [None] * count
-    if with_shapes:
+    if shaped == "all":
         shapes, anchors = _shapes(cells, states, bounds, h, w)
+    elif shaped == "unflagged":  # the unflagged components' runs, back to back
+        kept = np.flatnonzero(~clash)
+        kept_bounds = np.concatenate(([0], np.cumsum(bounds[kept + 1] - bounds[kept])))
+        mask = ~clash[comp]
+        got = _shapes(cells[mask], states[mask], kept_bounds, h, w)
+        shapes, anchors = [None] * count, [None] * count
+        for k, shape, anchor in zip(kept.tolist(), *got):
+            shapes[k], anchors[k] = shape, anchor
     frames = [_Frame() for _ in range(nf)]
     for t, (frame, c0, c1) in enumerate(zip(frames, first.tolist(), first[1:].tolist())):
         lo, hi, dlo, dhi = bounds[c0], bounds[c1], dil_bounds[c0], dil_bounds[c1]
@@ -218,9 +240,10 @@ def _scan(block: np.ndarray, with_shapes: bool = True) -> list[_Frame]:
     return frames
 
 
-def _frames(tr: Trajectory):
-    """Yield ``(first, frame)`` for each frame of ``tr``: ``first`` is the index of the
-    first frame with the same grid, and ``frame`` its ``_Frame``.
+def _frames(tr: Trajectory, shaped: str):
+    """Yield ``(first, frame, again)`` for each frame of ``tr``: ``first`` is the index
+    of the first frame with the same grid, ``frame`` its ``_Frame`` (shapes as
+    ``_scan``'s ``shaped`` says), and ``again`` whether the grid recurs later.
 
     Only first occurrences are scanned, in blocks of up to ``_BLOCK_CELLS`` non-S
     cells or of one frame; a repeated grid gets the ``_Frame`` of its first
@@ -232,22 +255,23 @@ def _frames(tr: Trajectory):
     firsts: dict[bytes, int] = {}
     ids = [firsts.setdefault(grid.cells.tobytes(), t) for t, grid in enumerate(tr.frames)]
     last = {first: t for t, first in enumerate(ids)}
-    scanned = _scanned(np.stack([tr.frames[t].cells for t in firsts.values()]))
+    scanned = _scanned(np.stack([tr.frames[t].cells for t in firsts.values()]), shaped)
     kept: dict[int, _Frame] = {}
     for t, first in enumerate(ids):
         frame = next(scanned) if first == t else kept.pop(first)
-        if last[first] > t:
+        again = last[first] > t
+        if again:
             kept[first] = frame
-        yield first, frame
+        yield first, frame, again
 
 
-def _scanned(stack: np.ndarray):
+def _scanned(stack: np.ndarray, shaped: str):
     """``stack``'s frames, scanned in blocks of up to ``_BLOCK_CELLS`` non-S cells or one frame."""
     ends = np.cumsum(np.count_nonzero(stack, axis=(1, 2))).tolist()
     start = 0
     while start < len(stack):
         stop = bisect_right(ends, (ends[start - 1] if start else 0) + _BLOCK_CELLS, lo=start + 1)
-        yield from _scan(stack[start:stop])
+        yield from _scan(stack[start:stop], shaped)
         start = stop
 
 
@@ -260,7 +284,7 @@ def extract_components(grid: Grid) -> list[Component]:
     Components come back ordered by their smallest flat index, so the result
     is deterministic.  Requires an even grid height.
     """
-    frame = _scan(grid.cells[None], with_shapes=False)[0]
+    frame = _scan(grid.cells[None], "none")[0]
     b, d = frame.bounds.tolist(), frame.dil_bounds.tolist()
     return [
         Component(frame.cells[lo:hi], frame.states[lo:hi], frame.dilated[dlo:dhi])
@@ -490,13 +514,19 @@ class _Track:
         self.places = [(frame, k)]
 
     def extend(self, frame: _Frame, k: int, h: int, w: int) -> None:
-        """Continue on component ``k`` of the next frame, stepping the anchor."""
+        """Continue on component ``k`` of the next frame, stepping the anchor.
+
+        On the mobile path a flagged component has no shape or anchor; the track
+        ends on it by proximity that frame and is dropped, so nothing is stepped.
+        """
         prev, j = self.places[-1]
+        self.places.append((frame, k))
+        if frame.anchors[k] is None:
+            return
         dr, dq = _axial_delta(prev.anchors[j], frame.anchors[k], h, w)
         ar, aq = self.loc.anchors[-1]
         self.loc.shapes.append(frame.shapes[k])
         self.loc.anchors.append((ar + dr, aq + dq))
-        self.places.append((frame, k))
 
     def _measure_trail(self) -> None:
         """Persistent non-S debris inside the corridor this track swept.
@@ -532,13 +562,15 @@ def _finish(trk: _Track | None, t: int, frame: _Frame, k: int, reason, p_max: in
     return loc
 
 
-def _ends(tr: Trajectory, p_max: int):
+def _ends(tr: Trajectory, p_max: int, shaped: str):
     """Yield ``(trk, t, frame, k, reason)`` as each track of ``tr`` ends, in discovery order.
 
     The track ends on component ``k`` of ``frame`` (time ``t``); ``trk`` is its
     ``_Track``, or None for a track that lived on that frame alone, and
-    ``reason`` is ``"merge"``, ``"split"``, ``"proximity"`` or None.  The
-    grid and ``p_max`` checks run on the first ``next``.
+    ``reason`` is ``"merge"``, ``"split"``, ``"proximity"`` or None.  Frames
+    are scanned with ``_scan``'s ``shaped``: with ``"unflagged"``, a track ended
+    by proximity has no shape or anchor on its last frame.  The grid and
+    ``p_max`` checks run on the first ``next``.
     """
     h, w = tr.frames[0].shape
     _require_even_height(h)
@@ -547,11 +579,14 @@ def _ends(tr: Trajectory, p_max: int):
 
     tracks: dict[int, _Track | None] = {}  # None: a track still on its first frame
     prev = prev_id = None
-    for t, (frame_id, frame) in enumerate(_frames(tr), start=tr.t0):
+    for t, (frame_id, frame, again) in enumerate(_frames(tr, shaped), start=tr.t0):
         if tracks:
-            if prev_id not in frame.linked:
-                frame.linked[prev_id] = _links(prev, frame)
-            nsucc, succ, nclaim = frame.linked[prev_id]
+            links = frame.linked.get(prev_id)
+            if links is None:
+                links = _links(prev, frame)
+                if again:  # the pair of grids can recur only if this one does
+                    frame.linked[prev_id] = links
+            nsucc, succ, nclaim = links
 
         next_tracks: dict[int, _Track | None] = {}
         for prev_idx, trk in tracks.items():
@@ -593,7 +628,7 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
     Returns one classified Localization per track; ``first_frame`` counts
     from ``tr.t0``, so a run trimmed by ``keep_last`` keeps its times.
     """
-    done = [_finish(*end, p_max) for end in _ends(tr, p_max)]
+    done = [_finish(*end, p_max) for end in _ends(tr, p_max, "all")]
     done.sort(key=lambda l: l.first_frame)  # stable: frame order, then discovery order
     for loc in done:
         classify(loc)
@@ -713,9 +748,18 @@ def mobile_localizations(rule: RuleMatrix, cfg: FitnessConfig, seed) -> list[Loc
     split or proximity are built and classified; every other track is
     Unresolved (see the module docstring).
     """
+    return _mobile_tracks(_soup(rule, cfg, seed), cfg.p_max)
+
+
+def _mobile_tracks(tr: Trajectory, p_max: int) -> list[Localization]:
+    """The Glider and PufferTrain tracks of ``track(tr, p_max)``, in order.
+
+    The frames are scanned shaping only the components not flagged ``clash``:
+    a flagged component's track ends there by proximity and is skipped.
+    """
     locs = [
-        _finish(trk, t, frame, k, None, cfg.p_max)
-        for trk, t, frame, k, reason in _ends(_soup(rule, cfg, seed), cfg.p_max)
+        _finish(trk, t, frame, k, None, p_max)
+        for trk, t, frame, k, reason in _ends(tr, p_max, "unflagged")
         if trk is not None and reason is None
     ]
     locs.sort(key=lambda l: l.first_frame)  # stable, as in track

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hexreact import detector
 from hexreact.analysis import CLASS_SWEEP_PROTOCOL, bundled_glider_rule, bundled_glider_seed
 from hexreact.detector import (
     GLIDER,
@@ -355,15 +356,20 @@ def test_fitness_is_deterministic_per_seed():
 # settle and leave gliders and puffer trains (first_soup 0 in the census fixture)
 SETTLING_MOBILE_RULE = "SSSSSSSSSAASSSSSBASSSSASSSASSSSSSSSS"
 
+# a 6-column torus, where the dense rule's soups hold components that occupy every
+# column with no other component within two cells, so the mobile path shapes them
+NARROW_TORUS = FitnessConfig(width=6, height=24, patch_width=6, patch_height=6, steps=40, window=24)
+
 MOBILE_PATH_CASES = {
     "bundled": lambda: (bundled_glider_rule(), FitnessConfig(), [0, 1, 3]),
     "puffer": lambda: (RuleMatrix.from_genome(PUFFER_RULE), FitnessConfig(), [1, 2]),
-    "dense": lambda: (random_rule(np.random.default_rng(5)), FitnessConfig(), [0, 2]),
+    "dense": lambda: (random_rule(np.random.default_rng(5)), FitnessConfig(), [0, 1, 2, 3, 4]),
     "class-settling": lambda: (
         RuleMatrix.from_genome(SETTLING_MOBILE_RULE),
         FitnessConfig(**CLASS_SWEEP_PROTOCOL),
         [[135, 0], [135, 1], [135, 6], [135, 7]],  # census seeds; soup 1 leaves none
     ),
+    "dense-narrow-torus": lambda: (random_rule(np.random.default_rng(5)), NARROW_TORUS, [0, 1, 2]),
 }
 
 
@@ -377,10 +383,56 @@ def test_mobile_localizations_are_the_mobile_tracks_of_the_soup(name):
         assert len(got) == len(want)
         assert localizations_digest(got) == localizations_digest(want)
         found.update(l.loc_class for l in got)
-    if name == "dense":
+    if name.startswith("dense"):
         assert not found  # thousands of tracks, all Unresolved
     else:
         assert found[GLIDER] and found[PUFFER_TRAIN]
+
+
+def test_the_mobile_path_lifts_unflagged_components_that_span_the_torus(monkeypatch):
+    rule, cfg, seeds = MOBILE_PATH_CASES["dense-narrow-torus"]()
+    unwrap, lifted = detector._unwrap, []
+
+    def spy(cells, *args):
+        lifted.append(len(cells))
+        return unwrap(cells, *args)
+
+    monkeypatch.setattr(detector, "_unwrap", spy)
+    for seed in seeds:
+        lifted.clear()
+        mobile_localizations(rule, cfg, seed)
+        assert lifted  # only unflagged components reach _unwrap on this path
+
+
+def _components(tr):
+    """All components and unflagged ones, over the distinct grids of ``tr``."""
+    grids = {grid.cells.tobytes(): grid.cells for grid in tr.frames}.values()
+    frames = [detector._scan(cells[None], "none")[0] for cells in grids]
+    return sum(len(f) for f in frames), sum(int(np.count_nonzero(~f.clash)) for f in frames)
+
+
+@pytest.mark.parametrize("name", ["bundled", "dense", "class-settling", "dense-narrow-torus"])
+def test_only_track_shapes_the_flagged_components(name, monkeypatch):
+    rule, cfg, seeds = MOBILE_PATH_CASES[name]()
+    shapes, shaped = detector._shapes, []
+
+    def spy(cells, states, bounds, *args):
+        shaped.append(len(bounds) - 1)
+        return shapes(cells, states, bounds, *args)
+
+    monkeypatch.setattr(detector, "_shapes", spy)
+    skipped = 0
+    for seed in seeds[:2]:
+        every, unflagged = _components(detector._soup(rule, cfg, seed))
+        shaped.clear()
+        mobile_localizations(rule, cfg, seed)
+        assert sum(shaped) == unflagged
+        shaped.clear()
+        soup_localizations(rule, cfg, seed)
+        assert sum(shaped) == every
+        skipped += every - unflagged
+    # the settling soups flag no component; the others flag some
+    assert (skipped == 0) == (name == "class-settling")
 
 
 @pytest.mark.parametrize("count_puffers", [True, False])

@@ -20,7 +20,9 @@ The digests must not depend on how ``track`` cuts the frames into blocks
 for its array pass: the cases are also tracked one frame per block and with
 the whole window in one block.  A property test checks every per-frame field
 of the pass, for every cut of a few random frames into blocks, against the
-pass over that frame alone.
+pass over that frame alone; the pass that shapes only the components not
+flagged for proximity must differ from it only by None shapes and anchors at
+the flagged ones.
 
 The second half checks ``extract_components`` and ``canonical_shape`` (the
 one-frame pass) on random small tori against an oracle that lives only here:
@@ -43,6 +45,7 @@ from hypothesis.extra.numpy import arrays
 from hexreact import detector
 from hexreact.analysis import CLASS_SWEEP_PROTOCOL, bundled_glider_rule, bundled_glider_seed
 from hexreact.detector import (
+    MOBILE_CLASSES,
     PUFFER_TRAIN,
     STILL_LIFE,
     UNRESOLVED,
@@ -164,17 +167,25 @@ def test_proximity_kills_come_in_component_order(name):
 def test_golden_tracker_outputs_do_not_depend_on_blocks(name, budget, monkeypatch):
     scan, blocks = detector._scan, []
 
-    def spy(block):
+    def spy(block, *args):
         blocks.append([frame.tobytes() for frame in block])
-        return scan(block)
+        return scan(block, *args)
 
     monkeypatch.setattr(detector, "_BLOCK_CELLS", budget)
     monkeypatch.setattr(detector, "_scan", spy)
     tr = CASES[name]()
-    assert localizations_digest(track(tr)) == GOLDEN[name]
+    locs = track(tr)
+    assert localizations_digest(locs) == GOLDEN[name]
     # each distinct grid is scanned once, at its first occurrence
     distinct = list(dict.fromkeys(grid.cells.tobytes() for grid in tr.frames))
-    assert blocks == ([[key] for key in distinct] if budget == 0 else [distinct])
+    cut = [[key] for key in distinct] if budget == 0 else [distinct]
+    assert blocks == cut
+    # the mobile path, which shapes only unflagged components, cuts alike and keeps
+    # exactly track's mobile tracks
+    blocks.clear()
+    mobile = [loc for loc in locs if loc.loc_class in MOBILE_CLASSES]
+    assert localizations_digest(detector._mobile_tracks(tr, 12)) == localizations_digest(mobile)
+    assert blocks == cut
 
 
 def _count_calls(monkeypatch, *names):
@@ -207,6 +218,22 @@ def test_settled_windows_scan_link_and_check_proximity_once_per_repeat(name, mon
     assert tuple(calls.values()) == SETTLED_CALLS[name]
 
 
+@pytest.mark.parametrize("name", ["bundled-soup", *sorted(SETTLED_CALLS)])
+def test_links_are_kept_only_on_frames_whose_grid_recurs(name, monkeypatch):
+    frames, seen = detector._frames, {}
+
+    def spy(*args):
+        for first, frame, again in frames(*args):
+            seen[first] = (frame, again or seen.get(first, (None, False))[1])
+            yield first, frame, again
+
+    monkeypatch.setattr(detector, "_frames", spy)
+    assert localizations_digest(track(CASES[name]())) == GOLDEN[name]
+    assert all(recurs or not frame.linked for frame, recurs in seen.values())
+    # the window of a soup that does not settle repeats no grid, so keeps no links
+    assert any(frame.linked for frame, _ in seen.values()) == (name != "bundled-soup")
+
+
 def _live_frames():
     return sum(type(obj) is detector._Frame for obj in gc.get_objects())
 
@@ -219,7 +246,7 @@ def test_frames_keep_a_scanned_frame_only_while_its_grid_recurs(name, most, monk
     tr = CASES[name]()
     gc.collect()
     before = _live_frames()
-    assert max(_live_frames() - before for _ in detector._frames(tr)) == most
+    assert max(_live_frames() - before for _ in detector._frames(tr, "all")) == most
 
 
 # -- the block pass ------------------------------------------------------------
@@ -239,10 +266,14 @@ def frame_stacks(draw):
     return np.stack([draw(arrays(np.uint8, (h, w), elements=s, fill=st.nothing())) for s in states])
 
 
-def _same_frame(got, want) -> None:
+def _same_frame(got, want, shaped="all") -> None:
+    """``got``, scanned shaping the ``shaped`` components, against ``want``, scanned
+    shaping all of them."""
     for name in FRAME_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, list):
+            if shaped == "unflagged":
+                b = [None if flagged else x for flagged, x in zip(want.clash.tolist(), b)]
             assert a == b, name
         else:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -257,12 +288,14 @@ _RING[1] = 2  # one row all the way around the torus
 @example(np.stack([np.zeros_like(_RING), np.ones_like(_RING), _RING, np.zeros_like(_RING)]))
 def test_block_pass_matches_the_one_frame_pass_for_every_cut(stack):
     alone = [detector._scan(frame[None])[0] for frame in stack]
-    for cuts in itertools.product([False, True], repeat=len(stack) - 1):
+    for shaped, cuts in itertools.product(
+        ["all", "unflagged"], itertools.product([False, True], repeat=len(stack) - 1)
+    ):
         edges = [0] + [t + 1 for t, cut in enumerate(cuts) if cut] + [len(stack)]
-        frames = [f for a, b in zip(edges, edges[1:]) for f in detector._scan(stack[a:b])]
+        frames = [f for a, b in zip(edges, edges[1:]) for f in detector._scan(stack[a:b], shaped)]
         assert len(frames) == len(stack)
         for got, want in zip(frames, alone):
-            _same_frame(got, want)
+            _same_frame(got, want, shaped)
 
 
 
