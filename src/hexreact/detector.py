@@ -16,19 +16,23 @@ placement-independent, and displacements come out as exact integer vectors
 ``track`` cuts the window's distinct grids into blocks of up to
 ``_BLOCK_CELLS`` non-S cells and runs one array pass per block (``_scan``).
 Cells are keyed ``t * h * w + cell``, so no component crosses frames.  The
-pass labels components by root hooking over the neighbour table, takes every
-component's sorted cells, states and one-ring dilation from sorts of
-(component, cell) keys, flags the components in proximity from one sort of the
-dilations' (frame, cell) keys, and takes canonical shapes and anchors from
-one sort of (component, row, axial column) keys, on coordinates ``_lift``
-frees from the torus wrap.  Which components get a shape is the caller's
-choice: ``track`` shapes every one, ``mobile_localizations`` only those not
-flagged for proximity (a flagged component's track ends on that frame, and
-the mobile path skips it), and ``extract_components`` none.  ``track`` links
-frame to frame with array operations over each frame's views of its block,
-and a component that lives one frame gets its Localization without a
-``_Track``.  ``extract_components`` is the pass over a one-frame block, and
-``canonical_shape`` runs ``_shapes`` on one component.
+pass labels components by root hooking over the neighbour table, flags the
+components in proximity from one label gather over half of each cell's
+radius-2 ring, writes each frame's ``reach`` map (cell to the unflagged
+component whose one-ring dilation holds it) in one scatter, takes every
+component's sorted cells and states from one sort of (component, cell) keys,
+and takes canonical shapes and anchors from one sort of (component, row,
+axial column) keys, on coordinates ``_lift`` frees from the torus wrap.  No
+dilation is stored: proximity needs none, and linking reads ``reach``.
+Which components get a shape is the caller's choice: ``track`` shapes every
+one, ``mobile_localizations`` only those not flagged for proximity (a flagged
+component's track ends on that frame, and the mobile path skips it), and
+``extract_components`` none.  ``track`` links frame to frame with one gather
+of the earlier frame's ``reach`` at the later frame's cells, and a component
+that lives one frame gets its Localization without a ``_Track``.
+``extract_components`` is the pass over a one-frame block plus each
+component's dilation from the neighbour table, and ``canonical_shape`` runs
+``_shapes`` on one component.
 
 A settled soup's window repeats a few grids over and over, so ``track`` does
 each grid's work once.  ``_frames`` keys every frame by its bytes and scans
@@ -41,16 +45,16 @@ first-occurrence id of the earlier one, and a repeated pair of grids reuses
 it; a pair whose later grid does not recur cannot repeat, so its result is
 not kept.  A stored result lives exactly as long as its frame.
 
-``_ends`` yields each track as it ends; ``track`` builds a Localization for
-every one, and ``mobile_localizations`` only for those that can be mobile.
-The rest are Unresolved whatever their shapes: a track that lived one frame
-has no period, since ``classify`` needs 2p >= 2 frames, and one ended by a
-merge, split or proximity is Unresolved by definition.  In soups that do
-not settle nearly every track is skipped, most as a first-frame proximity kill.
+``_ends`` yields each track as it ends; for ``track`` it yields every one,
+and for ``mobile_localizations`` only those that can be mobile.  The rest
+are Unresolved whatever their shapes: a track that lived one frame has no
+period, since ``classify`` needs 2p >= 2 frames, and one ended by a merge,
+split or proximity is Unresolved by definition.  In soups that do not settle
+nearly every track is skipped, most as a first-frame proximity kill.
 Filtering a stable sort keeps its order, so ``mobile_localizations`` returns
 ``track``'s mobile tracks in ``track``'s order.  The skipped tracks include
-every one that ends by proximity, so the mobile path never reads the shape of
-a flagged component and its scan computes none.
+every one that ends by proximity, so on the mobile path no track steps onto
+a flagged component, nothing reads its shape, and its scan computes none.
 
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
@@ -62,6 +66,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,8 +103,8 @@ class Component:
     """A maximal connected set of non-S cells in one frame.
 
     ``cells`` holds sorted flat indices (row * width + col); ``states`` is
-    aligned with it.  ``dilated`` additionally includes the one-cell ring
-    around the component, which is what linking and proximity tests need.
+    aligned with it.  ``dilated`` holds the sorted cells of the component and
+    of the one-cell ring around it.
     """
 
     cells: np.ndarray
@@ -115,26 +120,28 @@ class _Frame:
     """One frame's components, stored as concatenated per-component runs.
 
     Component ``k`` (components ordered by smallest flat index) owns
-    ``cells[bounds[k]:bounds[k + 1]]`` (sorted) with ``states`` aligned, and
-    ``dilated[dil_bounds[k]:dil_bounds[k + 1]]`` (sorted), and ``dil_comp``
-    names the component of each dilated entry.  ``labels`` maps every flat
-    cell to its component, or -1 on substrate.  ``shapes`` and ``anchors``
-    hold each component's canonical shape and torus anchor (see ``_shapes``),
-    or None where the scan did not shape it: on ``track``'s frames every
-    component has both, on ``mobile_localizations``' frames only those not
-    flagged ``clash``, and on ``extract_components``' frame none.
+    ``cells[bounds[k]:bounds[k + 1]]`` (sorted) with ``states`` aligned.
+    ``labels`` maps every flat cell to its component, or -1 on substrate.
+    ``reach`` maps every flat cell to the component not flagged ``clash``
+    whose one-ring dilation holds it, or -1 where there is none; ``_links``
+    reads it.  ``shapes`` and ``anchors`` hold each component's canonical
+    shape and torus anchor (see ``_shapes``), or None where the scan did not
+    shape it: on ``track``'s frames every component has both, on
+    ``mobile_localizations``' frames only those not flagged ``clash``, and on
+    ``extract_components``' frame none.
 
     ``clash[k]`` flags a component within two cells of another one.  Two
     components on the same frame always sit at least two cells apart (closer
     and they would be one component); their dilations intersect exactly when
-    the gap is two or less, i.e. when they can influence each other's next
-    step.  ``linked`` holds ``_ends``' ``_links`` results into this frame,
-    keyed by the first-occurrence id of the previous frame, when the frame's
-    grid recurs later in the window.
+    the gap is two, i.e. when they can influence each other's next step, so
+    an unflagged component's dilation meets no other one.  ``linked`` holds
+    what ``_ends`` takes from ``_links`` for the step into this frame, keyed
+    by the first-occurrence id of the previous frame, when the frame's grid
+    recurs later in the window.
     """
 
-    __slots__ = ("cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels",
-                 "shapes", "anchors", "clash", "linked")
+    __slots__ = ("cells", "states", "bounds", "labels", "reach", "shapes", "anchors", "clash",
+                 "linked")
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -175,10 +182,31 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+@lru_cache(maxsize=32)
+def _two_steps(h: int, w: int) -> np.ndarray:
+    """Half of every cell's radius-2 ring, shape ``(h * w, 6)``, from ``neighbor_table``.
+
+    Columns are the cells reached by the steps E+E, E+SE, SE+SE, SE+SW, SW+SW
+    and SW+W; the other six cells two steps away are these six reversed.
+    Cached like the table it is composed from; read-only.
+    """
+    table = neighbor_table(h, w)
+    steps = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4))  # columns E=1, SE=2, SW=3, W=4
+    ring = np.stack([table[table[:, a], b] for a, b in steps], axis=1)
+    ring.setflags(write=False)
+    return ring
+
+
 def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
     """Every frame of ``block``, shape ``(frames, h, w)``, from one array pass.
 
     Cells are keyed ``t * h * w + cell``, so no component crosses frames.
+    Root hooking joins each non-S cell to its E, SE and SW neighbours, which
+    names every edge once.  Two components of a frame clash exactly when a
+    cell of one lies two steps from a cell of the other (the cell between is
+    in both dilations), so one label gather over half the radius-2 ring flags
+    both ends of every hit.  An unflagged component's dilation meets no other
+    dilation, so one scatter writes ``reach``, with no sort.
     Each frame gets views of the block's arrays, its components counted from 0.
     ``shaped`` names the components that get a canonical shape and anchor:
     ``"all"`` (for ``track``), ``"unflagged"``, those not flagged ``clash``
@@ -192,31 +220,35 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
     table = neighbor_table(h, w)
     nz = np.flatnonzero(flat)
     n = len(nz)
-    labels = np.full(nf * size, -1, dtype=np.int64)
+    # int32: a frame keeps its labels and reach for as long as a track holds it
+    labels = np.full(nf * size, -1, dtype=np.int32)
     labels[nz] = np.arange(n)
-    base = nz - nz % size
-    around = labels[base[:, None] + table[nz - base, 1:]]
-    edge = around > np.arange(n)[:, None]  # symmetric table: one direction suffices
+    cell = nz % size
+    base = nz - cell
+    around = labels[base[:, None] + table[cell, 1:4]]  # E, SE and SW: every edge once
+    edge = around >= 0
     root = _roots(np.nonzero(edge)[0], around[edge], n)
 
     is_root = root == np.arange(n)
     comp = (np.cumsum(is_root) - 1)[root]
     count = int(is_root.sum())
     first = np.searchsorted(nz[is_root], np.arange(nf + 1) * size)  # each frame's first component
-    labels[nz] = comp - first[nz // size]
+    shift = first[nz // size]
+    labels[nz] = own = comp - shift
+    # a hit two steps away flags both ends; the six reversed steps meet the same pairs
+    far = labels[base[:, None] + _two_steps(h, w)[cell]]
+    hit = np.flatnonzero((far >= 0) & (far != own[:, None]))
+    row = hit // 6
+    clash = np.zeros(count, dtype=bool)
+    clash[comp[row]] = True
+    clash[far.ravel()[hit] + shift[row]] = True
+    # unflagged dilations are disjoint, so every write to a cell writes one value
+    free = ~clash[comp]
+    reach = np.full(nf * size, -1, dtype=np.int32)
+    reach[base[free, None] + table[cell[free]]] = own[free, None]
     comp, key = np.divmod(np.sort(comp * (nf * size) + nz), nf * size)
     cells, states = key % size, flat[key]
     bounds = np.searchsorted(comp, np.arange(count + 1))
-    dil_comp, dilated = np.divmod(_unique(comp[:, None] * size + table[cells]), size)
-    dil_bounds = np.searchsorted(dil_comp, np.arange(count + 1))
-    # two components clash where their dilations share a cell of one frame
-    spot = (nz[is_root] // size)[dil_comp] * size + dilated
-    order = np.argsort(spot, kind="stable")
-    spot = spot[order]
-    shared = np.flatnonzero(spot[1:] == spot[:-1])
-    clash = np.zeros(count, dtype=bool)
-    clash[dil_comp[order[shared]]] = True
-    clash[dil_comp[order[shared + 1]]] = True
     shapes = anchors = [None] * count
     if shaped == "all":
         shapes, anchors = _shapes(cells, states, bounds, h, w)
@@ -230,11 +262,10 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
             shapes[k], anchors[k] = shape, anchor
     frames = [_Frame() for _ in range(nf)]
     for t, (frame, c0, c1) in enumerate(zip(frames, first.tolist(), first[1:].tolist())):
-        lo, hi, dlo, dhi = bounds[c0], bounds[c1], dil_bounds[c0], dil_bounds[c1]
+        lo, hi, view = bounds[c0], bounds[c1], slice(t * size, (t + 1) * size)
         frame.cells, frame.states = cells[lo:hi], states[lo:hi]
-        frame.bounds, frame.dil_bounds = bounds[c0 : c1 + 1] - lo, dil_bounds[c0 : c1 + 1] - dlo
-        frame.dilated, frame.dil_comp = dilated[dlo:dhi], dil_comp[dlo:dhi] - c0
-        frame.labels = labels[t * size : (t + 1) * size]
+        frame.bounds = bounds[c0 : c1 + 1] - lo
+        frame.labels, frame.reach = labels[view], reach[view]
         frame.shapes, frame.anchors = shapes[c0:c1], anchors[c0:c1]
         frame.clash, frame.linked = clash[c0:c1], {}
     return frames
@@ -280,14 +311,19 @@ def extract_components(grid: Grid) -> list[Component]:
 
     6-neighbour adjacency on the torus, labelled for the whole frame at once
     by ``_scan``, the pass ``track`` runs, on a block of this one frame,
-    without its canonical shapes.
+    without its canonical shapes; the dilations come from ``neighbor_table``.
     Components come back ordered by their smallest flat index, so the result
     is deterministic.  Requires an even grid height.
     """
     frame = _scan(grid.cells[None], "none")[0]
-    b, d = frame.bounds.tolist(), frame.dil_bounds.tolist()
+    size, b = grid.cells.size, frame.bounds.tolist()
+    # every dilation from one sort of (component, cell) keys
+    comp = np.repeat(np.arange(len(frame)), np.diff(frame.bounds))
+    keys = _unique(comp[:, None] * size + neighbor_table(*grid.shape)[frame.cells])
+    owner, dilated = np.divmod(keys, size)
+    d = np.searchsorted(owner, np.arange(len(frame) + 1)).tolist()
     return [
-        Component(frame.cells[lo:hi], frame.states[lo:hi], frame.dilated[dlo:dhi])
+        Component(frame.cells[lo:hi], frame.states[lo:hi], dilated[dlo:dhi])
         for lo, hi, dlo, dhi in zip(b, b[1:], d, d[1:])
     ]
 
@@ -505,24 +541,20 @@ def classify(loc: Localization) -> str:
 
 
 class _Track:
-    """A Localization being built, and its (frame, component) places on consecutive frames."""
+    """A Localization being built, its (frame, component) places on consecutive frames,
+    and the grid's ``neighbor_table``."""
 
-    __slots__ = ("loc", "places")
+    __slots__ = ("loc", "places", "table")
 
-    def __init__(self, first_frame: int, p_max: int, frame: _Frame, k: int):
+    def __init__(self, first_frame: int, p_max: int, frame: _Frame, k: int, table: np.ndarray):
         self.loc = Localization(first_frame, [frame.shapes[k]], [(0, 0)], p_max=p_max)
         self.places = [(frame, k)]
+        self.table = table
 
     def extend(self, frame: _Frame, k: int, h: int, w: int) -> None:
-        """Continue on component ``k`` of the next frame, stepping the anchor.
-
-        On the mobile path a flagged component has no shape or anchor; the track
-        ends on it by proximity that frame and is dropped, so nothing is stepped.
-        """
+        """Continue on component ``k`` of the next frame, stepping the anchor."""
         prev, j = self.places[-1]
         self.places.append((frame, k))
-        if frame.anchors[k] is None:
-            return
         dr, dq = _axial_delta(prev.anchors[j], frame.anchors[k], h, w)
         ar, aq = self.loc.anchors[-1]
         self.loc.shapes.append(frame.shapes[k])
@@ -532,15 +564,17 @@ class _Track:
         """Persistent non-S debris inside the corridor this track swept.
 
         The corridor is the dilation of every earlier position of the
-        component.  Debris must be present (somewhere in the corridor, away
+        component, taken in one gather over the cells of the distinct earlier
+        places (a settled window revisits one frame's component again and
+        again).  Debris must be present (somewhere in the corridor, away
         from the current head) in each of the last two frames; shapes that
         merely flicker during the head's passage do not count.
         """
         if len(self.places) < 3:
             return
         swept = np.zeros(len(self.places[0][0].labels), dtype=bool)
-        for frame, k in self.places[:-1]:
-            swept[frame.dilated[frame.dil_bounds[k] : frame.dil_bounds[k + 1]]] = True
+        runs = [f.cells[f.bounds[k] : f.bounds[k + 1]] for f, k in dict.fromkeys(self.places[:-1])]
+        swept[self.table[np.concatenate(runs)]] = True
         # the only non-S cells inside the head's dilation are the head's own
         hits = [swept[f.cells] & (f.labels[f.cells] != k) for f, k in self.places[-2:]]
         if hits[0].any() and hits[1].any():
@@ -562,53 +596,86 @@ def _finish(trk: _Track | None, t: int, frame: _Frame, k: int, reason, p_max: in
     return loc
 
 
+def _reason(n: int):
+    """Why a track whose component has ``n`` successors ends there."""
+    return None if n == 0 else "merge" if n == 1 else "split"
+
+
 def _ends(tr: Trajectory, p_max: int, shaped: str):
     """Yield ``(trk, t, frame, k, reason)`` as each track of ``tr`` ends, in discovery order.
 
     The track ends on component ``k`` of ``frame`` (time ``t``); ``trk`` is its
     ``_Track``, or None for a track that lived on that frame alone, and
     ``reason`` is ``"merge"``, ``"split"``, ``"proximity"`` or None.  Frames
-    are scanned with ``_scan``'s ``shaped``: with ``"unflagged"``, a track ended
-    by proximity has no shape or anchor on its last frame.  The grid and
-    ``p_max`` checks run on the first ``next``.
+    are scanned with ``_scan``'s ``shaped``.  The grid and ``p_max`` checks
+    run on the first ``next``.
+
+    A track continues where its component has one successor that no other
+    component claims: a clean link.  Each frame's loop visits the tracks past
+    their first frame and the fresh components (unflagged ones that no track
+    reached) with a clean link; every other fresh component is a track that
+    lives one frame.  On the full path every end is yielded: per frame, the
+    tracks that stop on the earlier frame (tracks past their first frame in
+    the order they began, then fresh components by index), then the tracks
+    proximity ends on the later frame, by component.  On the mobile path
+    (``"unflagged"``) a link to a flagged component is not clean, so no
+    ``_Track`` steps onto a component without a shape, and only the ends
+    that can be mobile are yielded: tracks past their first frame that end
+    with reason None.
     """
     h, w = tr.frames[0].shape
     _require_even_height(h)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
 
-    tracks: dict[int, _Track | None] = {}  # None: a track still on its first frame
+    table = neighbor_table(h, w)
+    every = shaped != "unflagged"  # the full path yields every end
+    live: dict[int, _Track] = {}  # tracks past their first frame, by component of prev
     prev = prev_id = None
     for t, (frame_id, frame, again) in enumerate(_frames(tr, shaped), start=tr.t0):
-        if tracks:
-            links = frame.linked.get(prev_id)
-            if links is None:
-                links = _links(prev, frame)
+        nxt: dict[int, _Track] = {}
+        if live or (prev is not None and not prev.clash.all()):
+            step = frame.linked.get(prev_id)
+            if step is None:
+                nsucc, succ, nclaim = _links(prev, frame)
+                clean = nsucc == 1
+                ok = nclaim == 1 if every else (nclaim == 1) & ~frame.clash
+                clean[clean] = ok[succ[clean]]
+                # clean links, then (full path) the unflagged components of prev without
+                # one; a flagged component reaches nothing, so it is never clean
+                starts = np.flatnonzero(clean).tolist()
+                stops = np.flatnonzero(~clean & ~prev.clash).tolist() if every else []
+                step = nsucc.tolist(), succ.tolist(), clean.tolist(), starts, stops
                 if again:  # the pair of grids can recur only if this one does
-                    frame.linked[prev_id] = links
-            nsucc, succ, nclaim = links
+                    frame.linked[prev_id] = step
+            counts, to, is_clean, starts, stops = step
+            for k, trk in live.items():
+                if is_clean[k]:
+                    trk.extend(frame, to[k], h, w)
+                    nxt[to[k]] = trk
+                elif every or not counts[k]:
+                    yield trk, t - 1, prev, k, _reason(counts[k])
+            for k in stops:
+                if k not in live:
+                    yield None, t - 1, prev, k, _reason(counts[k])
+            for k in starts:
+                if k not in live:
+                    trk = _Track(t - 1, p_max, prev, k, table)
+                    trk.extend(frame, to[k], h, w)
+                    nxt[to[k]] = trk
 
-        next_tracks: dict[int, _Track | None] = {}
-        for prev_idx, trk in tracks.items():
-            n, idx = nsucc[prev_idx], succ[prev_idx]
-            if n == 1 and nclaim[idx] == 1:
-                if trk is None:
-                    trk = _Track(t - 1, p_max, prev, prev_idx)
-                trk.extend(frame, idx, h, w)
-                next_tracks[idx] = trk
-            else:  # died out (still classifiable), merged into another, or split
-                yield trk, t - 1, prev, prev_idx, None if n == 0 else "merge" if n == 1 else "split"
-
-        for idx in range(len(frame)):
-            next_tracks.setdefault(idx, None)
-
-        for idx in np.flatnonzero(frame.clash).tolist():
-            yield next_tracks.pop(idx), t, frame, idx, "proximity"
-        tracks = next_tracks
+        if every:
+            for k in np.flatnonzero(frame.clash).tolist():
+                yield nxt.pop(k, None), t, frame, k, "proximity"
+        live = nxt
         prev, prev_id = frame, frame_id
 
-    for idx, trk in tracks.items():
-        yield trk, t, prev, idx, None
+    for k, trk in live.items():
+        yield trk, t, prev, k, None
+    if every:
+        for k in np.flatnonzero(~prev.clash).tolist():
+            if k not in live:
+                yield None, t, prev, k, None
 
 
 def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
@@ -635,26 +702,24 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
     return done
 
 
-def _links(prev: _Frame, frame: _Frame) -> tuple[list, list, list]:
+def _links(prev: _Frame, frame: _Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which components of ``frame`` the components of ``prev`` not in a clash reach.
 
     A successor of a previous component is any component its dilation
-    touches.  Returns, per previous component, the number of successors and
+    touches, so one gather of ``prev.reach`` at ``frame``'s cells finds every
+    (predecessor, successor) pair; a flagged predecessor reaches nothing.
+    Returns, per previous component, the number of successors and
     (meaningful when that is one) the successor, and per component of
     ``frame`` the number of predecessors not in a clash claiming it.
     """
-    succ = frame.labels[prev.dilated]
-    keep = (succ >= 0) & ~prev.clash[prev.dil_comp]
+    p = prev.reach[frame.cells]
+    keep = p >= 0
     n = max(len(frame), 1)
-    pairs = _unique(prev.dil_comp[keep] * n + succ[keep])
+    pairs = _unique(p[keep].astype(np.int64) * n + frame.labels[frame.cells[keep]])
     p, s = np.divmod(pairs, n)
     first = np.zeros(len(prev), dtype=np.int64)
     first[p] = s
-    return (
-        np.bincount(p, minlength=len(prev)).tolist(),
-        first.tolist(),
-        np.bincount(s, minlength=len(frame)).tolist(),
-    )
+    return np.bincount(p, minlength=len(prev)), first, np.bincount(s, minlength=len(frame))
 
 
 # -- fitness -------------------------------------------------------------------
@@ -755,13 +820,10 @@ def _mobile_tracks(tr: Trajectory, p_max: int) -> list[Localization]:
     """The Glider and PufferTrain tracks of ``track(tr, p_max)``, in order.
 
     The frames are scanned shaping only the components not flagged ``clash``:
-    a flagged component's track ends there by proximity and is skipped.
+    a flagged component's track ends there by proximity and is skipped, and
+    ``_ends`` yields only the ends of tracks that can be mobile.
     """
-    locs = [
-        _finish(trk, t, frame, k, None, p_max)
-        for trk, t, frame, k, reason in _ends(tr, p_max, "unflagged")
-        if trk is not None and reason is None
-    ]
+    locs = [_finish(*end, p_max) for end in _ends(tr, p_max, "unflagged")]
     locs.sort(key=lambda l: l.first_frame)  # stable, as in track
     return [loc for loc in locs if classify(loc) in MOBILE_CLASSES]
 

@@ -197,14 +197,14 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
             saved, saved_t, power = key, t, 2 * power
         if t >= t0:
             frames.append(Grid(table[index]))
-        pad[1:-1, 1:-1] = packed_table[index]
+        np.take(packed_table, index, out=pad[1:-1, 1:-1])
     else:
         return Trajectory(frames, t0=t0)
     # state t is state t - p: state u >= t is cycle[(u - t) % p]
     p = t - saved_t
     cycle = [table[index]]
     for _ in range(min(p, total - t) - 1):
-        pad[1:-1, 1:-1] = packed_table[index]
+        np.take(packed_table, index, out=pad[1:-1, 1:-1])
         _signatures(pad, index)
         cycle.append(table[index])
     frames.extend(Grid(cycle[(u - t) % p].copy()) for u in range(max(t, t0), total))

@@ -404,6 +404,23 @@ def test_the_mobile_path_lifts_unflagged_components_that_span_the_torus(monkeypa
         assert lifted  # only unflagged components reach _unwrap on this path
 
 
+@pytest.mark.parametrize("name", ["bundled", "dense"])
+def test_the_mobile_path_extends_no_track_onto_a_flagged_component(name, monkeypatch):
+    rule, cfg, seeds = MOBILE_PATH_CASES[name]()
+    extend, onto_flagged = detector._Track.extend, []
+
+    def spy(self, frame, k, *args):
+        onto_flagged.append(bool(frame.clash[k]))
+        return extend(self, frame, k, *args)
+
+    monkeypatch.setattr(detector._Track, "extend", spy)
+    for seed in seeds:
+        mobile_localizations(rule, cfg, seed)
+    assert not any(onto_flagged)
+    # the bundled soups leave gliders, whose tracks extend; no dense one lives past a frame
+    assert bool(onto_flagged) == (name == "bundled")
+
+
 def _components(tr):
     """All components and unflagged ones, over the distinct grids of ``tr``."""
     grids = {grid.cells.tobytes(): grid.cells for grid in tr.frames}.values()

@@ -1,5 +1,6 @@
 """pyproject.toml covers every bundled fixture and every module the tests import,
-and no hexreact module reaches for another one's private names."""
+no hexreact module imports anything but the standard library, numpy and
+hexreact, and none reaches for another one's private names."""
 
 import ast
 import sys
@@ -45,6 +46,45 @@ def test_every_module_the_tests_import_is_declared():
                 imported.add(words[1].split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - local
     assert third_party and third_party <= declared
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules a source imports, anywhere in it, that are not stdlib, numpy or hexreact."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hexreact"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:  # from . import is hexreact
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_every_module_imports_only_the_stdlib_numpy_and_hexreact():
+    # pyproject.toml declares numpy alone, so any other import breaks a clean install
+    assert [req.split(">")[0] for req in _pyproject()["project"]["dependencies"]] == ["numpy"]
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := foreign_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_the_import_check_sees_every_import_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np, scipy.ndimage\n"
+        "from . import detector\n"
+        "from hexreact.engine import run\n"
+        "from collections import Counter\n"
+        "def f():\n"
+        "    from numba import njit\n"
+    )
+    assert foreign_imports(source) == ["scipy.ndimage", "numba"]
 
 
 def _private(name: str) -> bool:

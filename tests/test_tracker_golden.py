@@ -22,13 +22,15 @@ the whole window in one block.  A property test checks every per-frame field
 of the pass, for every cut of a few random frames into blocks, against the
 pass over that frame alone; the pass that shapes only the components not
 flagged for proximity must differ from it only by None shapes and anchors at
-the flagged ones.
+the flagged ones.  Another checks ``_links`` on consecutive random frames
+against the successor sets of each unflagged component's dilation.
 
 The second half checks ``extract_components`` and ``canonical_shape`` (the
 one-frame pass) on random small tori against an oracle that lives only here:
 a torus BFS over ``hexgrid.neighborhood`` for components and dilations, the
-dilations' shared cells for proximity flags, a BFS lift from each component's
-smallest cell for shapes and anchors, and the shapes of translated copies.
+dilations' shared cells for proximity flags and the ``reach`` map, a BFS
+lift from each component's smallest cell for shapes and anchors, and the
+shapes of translated copies.
 """
 
 import gc
@@ -56,7 +58,13 @@ from hexreact.detector import (
     track,
 )
 from hexreact.engine import run
-from hexreact.hexgrid import EVEN_ROW_NEIGHBORS, ODD_ROW_NEIGHBORS, Grid, neighborhood
+from hexreact.hexgrid import (
+    EVEN_ROW_NEIGHBORS,
+    ODD_ROW_NEIGHBORS,
+    Grid,
+    neighbor_table,
+    neighborhood,
+)
 from hexreact.rules import RuleMatrix, random_rule
 
 # a one-letter mutant of the bundled rule whose soups leave puffer trains
@@ -251,10 +259,7 @@ def test_frames_keep_a_scanned_frame_only_while_its_grid_recurs(name, most, monk
 
 # -- the block pass ------------------------------------------------------------
 
-FRAME_FIELDS = (
-    "cells", "states", "bounds", "dilated", "dil_bounds", "dil_comp", "labels", "shapes", "anchors",
-    "clash",
-)
+FRAME_FIELDS = ("cells", "states", "bounds", "labels", "reach", "shapes", "anchors", "clash")
 
 
 @st.composite
@@ -297,6 +302,31 @@ def test_block_pass_matches_the_one_frame_pass_for_every_cut(stack):
         for got, want in zip(frames, alone):
             _same_frame(got, want, shaped)
 
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(frame_stacks())
+def test_links_match_a_dilation_set_reference(stack):
+    frames = detector._scan(stack)
+    table = neighbor_table(*stack.shape[1:])
+    for prev, frame in zip(frames, frames[1:]):
+        owner = {cell: k for k in range(len(frame)) for cell in _run(frame, k)}
+        dilations = [set(table[_run(prev, k)].ravel().tolist()) for k in range(len(prev))]
+        # a flagged component links to nothing, any other to each component its dilation meets
+        succs = [
+            set() if flagged else {owner[c] for c in dilated if c in owner}
+            for flagged, dilated in zip(prev.clash.tolist(), dilations)
+        ]
+        nsucc, succ, nclaim = detector._links(prev, frame)
+        assert nsucc.tolist() == [len(s) for s in succs]
+        assert [succ[k] for k, s in enumerate(succs) if len(s) == 1] == [
+            min(s) for s in succs if len(s) == 1
+        ]
+        assert nclaim.tolist() == [sum(k in s for s in succs) for k in range(len(frame))]
+
+
+def _run(frame, k):
+    return frame.cells[frame.bounds[k] : frame.bounds[k + 1]].tolist()
 
 
 # -- oracle ----------------------------------------------------------------------
@@ -376,8 +406,15 @@ def test_front_end_matches_the_bfs_oracle_on_random_tori():
         expected = oracle_components(grid)
         assert len(comps) == len(expected)
         owners = Counter(cell for _, _, odilated in expected for cell in odilated)
-        clash = detector._scan(grid.cells[None])[0].clash
+        frame = detector._scan(grid.cells[None])[0]
+        clash = frame.clash
         assert len(clash) == len(expected)
+        # reach names the unflagged component whose dilation holds a cell, else -1
+        reach = np.full(h * w, -1)
+        for k, (_, _, odilated) in enumerate(expected):
+            if all(owners[cell] == 1 for cell in odilated):
+                reach[odilated] = k
+        assert frame.reach.tolist() == reach.tolist()
         for comp, flag, (ocells, ostates, odilated) in zip(comps, clash, expected):
             assert comp.cells.tolist() == ocells
             assert comp.states.tolist() == ostates
