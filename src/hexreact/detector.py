@@ -150,17 +150,21 @@ class _Frame:
 def _roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Smallest member of each node's connected component, edges ``u``-``v``.
 
-    Shiloach-Vishkin style: every round hooks each root that has an edge into
-    a smaller root onto the smallest such root, then compresses every path to
-    its root; edges whose ends already share a root drop out.  A parent never
-    exceeds its child, so the final roots are the component minima.
+    Shiloach-Vishkin style: every round hooks the larger root of each edge
+    whose ends have different roots onto the smaller one, then compresses
+    every path to its root; edges whose ends already share a root drop out.
+    A root on several such edges gets one of its smaller roots, whichever the
+    plain assignment writes last.  That is still exact: every hooked node is
+    a root and gets a smaller parent, so no cycle forms, and the smallest
+    member of a component is never hooked, so the final roots are the
+    component minima.
     """
     parent = np.arange(n)
     while len(u):
         pu, pv = parent[u], parent[v]
         cross = pu != pv
         u, v, pu, pv = u[cross], v[cross], pu[cross], pv[cross]
-        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        parent[np.maximum(pu, pv)] = np.minimum(pu, pv)
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
@@ -226,8 +230,8 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
     cell = nz % size
     base = nz - cell
     around = labels[base[:, None] + table[cell, 1:4]]  # E, SE and SW: every edge once
-    edge = around >= 0
-    root = _roots(np.nonzero(edge)[0], around[edge], n)
+    hook = np.flatnonzero(around >= 0)
+    root = _roots(hook // 3, around.ravel()[hook], n)
 
     is_root = root == np.arange(n)
     comp = (np.cumsum(is_root) - 1)[root]

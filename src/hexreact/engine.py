@@ -5,9 +5,13 @@ Two independent implementations of the update step live here on purpose:
 * :func:`run` advances a grid with a packed kernel, and :func:`step` is its
   one-step case.  This is the production path.  States S, A, B are packed
   as 0, 1, 8, so the sum of a cell's seven neighbourhood values is
-  ``i + 8j`` for ``i`` A cells and ``j`` B cells; that byte indexes a
-  64-entry copy of the rule's lookup table.  The grid lives in a buffer with
-  a one-cell wrap border, so every neighbour is a plain slice.  The automaton
+  ``i + 8j`` for ``i`` A cells and ``j`` B cells.  The grid lives in a
+  buffer with a one-cell wrap border, so every neighbour is a plain slice,
+  and five adds of such slices give every signature (horizontal pair sums
+  are shared by the row itself and the rows above and below).  The
+  signature bytes sit in a buffer of even length read as uint16, so one
+  lookup in a pair table, the rule's table applied to both bytes of a
+  uint16, gives the next state of two cells at once.  The automaton
   is deterministic, so once a run repeats a state every later frame replays
   the cycle: :func:`run` finds the first repeat with Brent's cycle detection,
   keyed by the bytes of each step's signatures (the next state is the table
@@ -43,24 +47,37 @@ def _signatures(pad: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Refresh the wrap border of ``pad``, then write every cell's ``i + 8j``.
 
     The border rows are copied first and the border columns, over the full
-    height, second, so the corners come out right.  On even rows the two
-    diagonal neighbours sit at column ``c - 1`` of rows ``r - 1`` and
-    ``r + 1``; on odd rows at column ``c + 1``.
+    height, second, so the corners come out right.  Five adds follow: the
+    sums of horizontally adjacent pairs, once for every row of ``pad``; the
+    pair sums of the rows above and below; west, centre and east as a pair
+    sum plus the east cell; and those above-and-below sums at columns
+    ``c - 1`` and ``c`` on even rows, ``c`` and ``c + 1`` on odd rows, which
+    are the straight and the diagonal neighbours.
     """
     pad[0, 1:-1] = pad[-2, 1:-1]
     pad[-1, 1:-1] = pad[1, 1:-1]
     pad[:, 0] = pad[:, -2]
     pad[:, -1] = pad[:, 1]
-    up, row, down = pad[:-2], pad[1:-1], pad[2:]
-    np.add(row[:, 1:-1], row[:, 2:], out=out)  # centre, east
-    out += row[:, :-2]  # west
-    out += up[:, 1:-1]  # straight above
-    out += down[:, 1:-1]  # straight below
-    out[0::2] += up[0::2, :-2]
-    out[0::2] += down[0::2, :-2]
-    out[1::2] += up[1::2, 2:]
-    out[1::2] += down[1::2, 2:]
+    pairs = pad[:, :-1] + pad[:, 1:]  # pairs[r, k]: pad columns k and k + 1
+    vert = pairs[:-2] + pairs[2:]  # the rows above and below
+    np.add(pairs[1:-1, :-1], pad[1:-1, 2:], out=out)  # west, centre, east
+    out[0::2] += vert[0::2, :-1]
+    out[1::2] += vert[1::2, 1:]
     return out
+
+
+def _pairs(table: np.ndarray) -> np.ndarray:
+    """``table``, 64 entries indexed by ``i + 8j``, as a lookup for two cells at once.
+
+    Two signature bytes ``x`` and ``y`` read as one uint16 ``v`` are
+    ``x + 256 y`` in one byte order and ``256 x + y`` in the other.  Either
+    way the entry ``256 table[v >> 8] + table[v & 255]`` holds, in the same
+    byte order, ``table[x]`` where ``x`` was and ``table[y]`` where ``y`` was.
+    Signatures are below 64, so ``v`` is below ``64 * 256``.
+    """
+    wide = np.zeros(256, dtype=np.uint16)
+    wide[:64] = table
+    return ((wide[:64, None] << 8) | wide).ravel()
 
 
 def signature_index(grid: Grid) -> np.ndarray:
@@ -183,10 +200,25 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
         raise ValueError("keep_last must keep at least one frame")
     t0 = total - keep
     frames = [grid.copy()] if t0 == 0 else []
+    h, w = grid.shape
+    n = h * w
     pad = _packed(grid)
-    index = np.empty(grid.shape, dtype=np.uint8)
+    # signatures in a buffer of even length (an odd grid gets one zero pad
+    # byte), read as uint16 so that one lookup updates two cells
+    flat = np.zeros(n + n % 2, dtype=np.uint8)
+    index = flat[:n].reshape(h, w)
+    two = flat.view(np.uint16)
     table = rule.table.T.ravel()  # next state, indexed by i + 8j
-    packed_table = _PACK[table]
+    state_pairs, packed_pairs = _pairs(table), _pairs(_PACK[table])
+
+    def lookup(pairs: np.ndarray) -> np.ndarray:
+        """``pairs`` at every signature, as a fresh ``(h, w)`` array.
+
+        Every uint16 is below ``64 * 256``, the length of a pair table, so
+        ``"clip"`` never clips; it only skips the bounds check.
+        """
+        return pairs.take(two, mode="clip").view(np.uint8)[:n].reshape(h, w)
+
     saved, saved_t, power = None, 0, 1
     for t in range(1, total):
         _signatures(pad, index)
@@ -196,17 +228,17 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
         if t - saved_t == power:
             saved, saved_t, power = key, t, 2 * power
         if t >= t0:
-            frames.append(Grid(table[index]))
-        np.take(packed_table, index, out=pad[1:-1, 1:-1])
+            frames.append(Grid(lookup(state_pairs)))
+        pad[1:-1, 1:-1] = lookup(packed_pairs)
     else:
         return Trajectory(frames, t0=t0)
     # state t is state t - p: state u >= t is cycle[(u - t) % p]
     p = t - saved_t
-    cycle = [table[index]]
+    cycle = [lookup(state_pairs)]
     for _ in range(min(p, total - t) - 1):
-        np.take(packed_table, index, out=pad[1:-1, 1:-1])
+        pad[1:-1, 1:-1] = lookup(packed_pairs)
         _signatures(pad, index)
-        cycle.append(table[index])
+        cycle.append(lookup(state_pairs))
     frames.extend(Grid(cycle[(u - t) % p].copy()) for u in range(max(t, t0), total))
     return Trajectory(frames, t0=t0)
 

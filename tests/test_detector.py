@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexreact import detector
 from hexreact.analysis import CLASS_SWEEP_PROTOCOL, bundled_glider_rule, bundled_glider_seed
@@ -110,6 +112,42 @@ def test_distinct_components_are_never_adjacent():
     g = grid_with(8, 8, {(1, 1): 1, (1, 2): 1, (5, 5): 2})
     comps = extract_components(g)
     assert [c.size for c in comps] == [2, 1]
+
+
+def component_minima(edges, n):
+    """Smallest member of each node's component, from a plain union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    smallest = {}
+    for x in range(n):
+        smallest.setdefault(find(x), x)
+    return [smallest[find(x)] for x in range(n)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80),
+        )
+    )
+)
+def test_roots_are_the_component_minima_of_a_plain_union_find(graph):
+    # duplicate edges, self-loops and both orientations of an edge: the
+    # reversed copies of every other edge guarantee the last two
+    n, drawn = graph
+    edges = drawn + [(b, a) for a, b in drawn[::2]]
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int32)  # _scan's ends are int32 labels
+    assert detector._roots(u, v, n).tolist() == component_minima(edges, n)
 
 
 # -- canonical shapes ----------------------------------------------------------

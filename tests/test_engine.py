@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,10 +12,11 @@ from hexreact.engine import (
     grid_to_pgm,
     parse_frames,
     run,
+    signature_index,
     step,
     step_reference,
 )
-from hexreact.hexgrid import CellState, Grid
+from hexreact.hexgrid import CellState, Grid, neighborhood
 from hexreact.rules import RuleMatrix, random_rule
 
 
@@ -74,6 +75,29 @@ def test_step_leaves_input_untouched():
     before = g.cells.copy()
     step(g, random_rule(rng))
     assert np.array_equal(g.cells, before)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.tuples(st.integers(3, 9), st.integers(3, 9)).flatmap(
+        lambda shape: arrays(np.uint8, shape, elements=st.integers(0, 2))
+    )
+)
+@example(np.array([[1, 2, 0], [0, 1, 2], [2, 0, 1]], dtype=np.uint8))  # odd height, width 3
+@example(np.arange(28, dtype=np.uint8).reshape(4, 7) % 3)
+def test_signature_index_counts_each_neighborhood(cells):
+    # the pair sums run over both wrap columns, so width 3 and odd heights
+    # reach every border case
+    g = Grid(cells)
+    h, w = g.shape
+    expected = np.empty((h, w), dtype=np.int64)
+    for r in range(h):
+        for c in range(w):
+            states = [int(g.cells[rc]) for rc in neighborhood(g, (r, c))]
+            expected[r, c] = states.count(1) + 8 * states.count(2)
+    got = signature_index(g)
+    assert got.dtype == np.uint8 and got.shape == (h, w)
+    assert np.array_equal(got, expected)
 
 
 # -- run/trajectory ------------------------------------------------------------

@@ -40,27 +40,39 @@ def test_every_module_the_tests_import_is_declared():
     imported, local = set(), {"hexreact"}
     for path in (ROOT / "tests").glob("*.py"):
         local.add(path.stem)
-        for line in path.read_text().splitlines():
-            words = line.split()
-            if words[:1] in (["import"], ["from"]) and len(words) > 1:
-                imported.add(words[1].split(".")[0])
+        imported.update(name.split(".")[0] for name in imports(path.read_text()))
     third_party = imported - set(sys.stdlib_module_names) - local
     assert third_party and third_party <= declared
+
+
+def imports(source: str) -> list[str]:
+    """Modules a source imports, anywhere in it, by full name; relative imports are skipped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(node.module)
+    return found
+
+
+def test_the_import_reader_skips_docstrings_and_strings():
+    source = (
+        '"""Shapes, one per component,\n'
+        "from each component's sorted cells.\n"
+        '"""\n'
+        "import numpy as np\n"
+        "SOURCE = 'import scipy'\n"
+        "from hypothesis import given\n"
+    )
+    assert imports(source) == ["numpy", "hypothesis"]
 
 
 def foreign_imports(source: str) -> list[str]:
     """Modules a source imports, anywhere in it, that are not stdlib, numpy or hexreact."""
     allowed = set(sys.stdlib_module_names) | {"numpy", "hexreact"}
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:  # from . import is hexreact
-            names = [node.module]
-        else:
-            continue
-        found += [name for name in names if name.split(".")[0] not in allowed]
-    return found
+    # a relative import (from . import detector) is hexreact
+    return [name for name in imports(source) if name.split(".")[0] not in allowed]
 
 
 def test_every_module_imports_only_the_stdlib_numpy_and_hexreact():
