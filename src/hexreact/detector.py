@@ -130,7 +130,8 @@ class _Frame:
     ``mobile_localizations``' frames only those not flagged ``clash``, and on
     ``extract_components``' frame none.
 
-    ``clash[k]`` flags a component within two cells of another one.  Two
+    ``clash[k]`` flags a component within two cells of another one, and
+    ``flagged`` lists the flagged components in ascending order.  Two
     components on the same frame always sit at least two cells apart (closer
     and they would be one component); their dilations intersect exactly when
     the gap is two, i.e. when they can influence each other's next step, so
@@ -141,7 +142,7 @@ class _Frame:
     """
 
     __slots__ = ("cells", "states", "bounds", "labels", "reach", "shapes", "anchors", "clash",
-                 "linked")
+                 "flagged", "linked")
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -264,9 +265,14 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
         shapes, anchors = [None] * count, [None] * count
         for k, shape, anchor in zip(kept.tolist(), *got):
             shapes[k], anchors[k] = shape, anchor
+    # the flagged components of every frame, once per block, counted from each frame's first
+    flagged = np.flatnonzero(clash)
+    cuts = np.searchsorted(flagged, first).tolist()
+    flagged = (flagged - first[np.searchsorted(first, flagged, side="right") - 1]).tolist()
     frames = [_Frame() for _ in range(nf)]
     for t, (frame, c0, c1) in enumerate(zip(frames, first.tolist(), first[1:].tolist())):
         lo, hi, view = bounds[c0], bounds[c1], slice(t * size, (t + 1) * size)
+        frame.flagged = flagged[cuts[t] : cuts[t + 1]]
         frame.cells, frame.states = cells[lo:hi], states[lo:hi]
         frame.bounds = bounds[c0 : c1 + 1] - lo
         frame.labels, frame.reach = labels[view], reach[view]
@@ -555,11 +561,10 @@ class _Track:
         self.places = [(frame, k)]
         self.table = table
 
-    def extend(self, frame: _Frame, k: int, h: int, w: int) -> None:
-        """Continue on component ``k`` of the next frame, stepping the anchor."""
-        prev, j = self.places[-1]
+    def extend(self, frame: _Frame, k: int, delta: tuple[int, int]) -> None:
+        """Continue on component ``k`` of the next frame, stepping the anchor by ``delta``."""
         self.places.append((frame, k))
-        dr, dq = _axial_delta(prev.anchors[j], frame.anchors[k], h, w)
+        dr, dq = delta
         ar, aq = self.loc.anchors[-1]
         self.loc.shapes.append(frame.shapes[k])
         self.loc.anchors.append((ar + dr, aq + dq))
@@ -645,31 +650,36 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
                 clean = nsucc == 1
                 ok = nclaim == 1 if every else (nclaim == 1) & ~frame.clash
                 clean[clean] = ok[succ[clean]]
-                # clean links, then (full path) the unflagged components of prev without
-                # one; a flagged component reaches nothing, so it is never clean
-                starts = np.flatnonzero(clean).tolist()
+                # the anchor step of every clean link, then (full path) the unflagged
+                # components of prev without one; a flagged component reaches nothing,
+                # so it is never clean
+                to = succ.tolist()
+                deltas = {
+                    k: _axial_delta(prev.anchors[k], frame.anchors[to[k]], h, w)
+                    for k in np.flatnonzero(clean).tolist()
+                }
                 stops = np.flatnonzero(~clean & ~prev.clash).tolist() if every else []
-                step = nsucc.tolist(), succ.tolist(), clean.tolist(), starts, stops
+                step = nsucc.tolist(), to, deltas, stops
                 if again:  # the pair of grids can recur only if this one does
                     frame.linked[prev_id] = step
-            counts, to, is_clean, starts, stops = step
+            counts, to, deltas, stops = step
             for k, trk in live.items():
-                if is_clean[k]:
-                    trk.extend(frame, to[k], h, w)
+                if k in deltas:
+                    trk.extend(frame, to[k], deltas[k])
                     nxt[to[k]] = trk
                 elif every or not counts[k]:
                     yield trk, t - 1, prev, k, _reason(counts[k])
             for k in stops:
                 if k not in live:
                     yield None, t - 1, prev, k, _reason(counts[k])
-            for k in starts:
+            for k, delta in deltas.items():
                 if k not in live:
                     trk = _Track(t - 1, p_max, prev, k, table)
-                    trk.extend(frame, to[k], h, w)
+                    trk.extend(frame, to[k], delta)
                     nxt[to[k]] = trk
 
         if every:
-            for k in np.flatnonzero(frame.clash).tolist():
+            for k in frame.flagged:
                 yield nxt.pop(k, None), t, frame, k, "proximity"
         live = nxt
         prev, prev_id = frame, frame_id

@@ -5,18 +5,23 @@ Two independent implementations of the update step live here on purpose:
 * :func:`run` advances a grid with a packed kernel, and :func:`step` is its
   one-step case.  This is the production path.  States S, A, B are packed
   as 0, 1, 8, so the sum of a cell's seven neighbourhood values is
-  ``i + 8j`` for ``i`` A cells and ``j`` B cells.  The grid lives in a
-  buffer with a one-cell wrap border, so every neighbour is a plain slice,
-  and five adds of such slices give every signature (horizontal pair sums
-  are shared by the row itself and the rows above and below).  The
-  signature bytes sit in a buffer of even length read as uint16, so one
-  lookup in a pair table, the rule's table applied to both bytes of a
-  uint16, gives the next state of two cells at once.  The automaton
-  is deterministic, so once a run repeats a state every later frame replays
-  the cycle: :func:`run` finds the first repeat with Brent's cycle detection,
-  keyed by the bytes of each step's signatures (the next state is the table
-  at those signatures, so equal keys mean equal states), and copies the
-  cycle's states into the rest of the kept window instead of stepping.
+  ``i + 8j`` for ``i`` A cells and ``j`` B cells.  The grid lives in one
+  flat uint8 buffer, cell ``(r, c)`` at ``lo + r*S + c - r//2`` with row
+  stride ``S = w + 4``.  That row skew is the axial embedding of the odd-r
+  rows: on every row the E, W, SE, SW, NW and NE neighbours sit at the
+  fixed offsets +1, -1, +S, +S-1, -S and -S+1.  Each step first refreshes
+  the ghosts, every other position the kernel reads, in one fancy
+  assignment (see :func:`_layout`); then one add of the buffer to itself
+  shifted by one gives every pair sum, and three adds over one contiguous
+  range give every signature.  The signature bytes read as uint16 index a
+  pair table, the rule's table applied to both bytes of a uint16, so one
+  lookup writes the next packed state of two positions at once, straight
+  into the buffer.  The automaton is deterministic, so once a run repeats a
+  state every later frame replays the cycle: :func:`run` finds the first
+  repeat with Brent's cycle detection, keyed by the bytes of each step's
+  signatures (the next state is the table at those signatures, so equal
+  keys mean equal states), and copies the cycle's states into the rest of
+  the kept window instead of stepping.
 * :func:`step_reference` walks the cells one by one, recounting each
   neighbourhood from scratch.  It is deliberately written with none of the
   vectorised machinery so the two can check each other.
@@ -26,43 +31,78 @@ Both include the centre cell in the counts.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
-from .hexgrid import Grid
+from .hexgrid import Grid, neighbor_table
 from .rules import RuleMatrix
 
 #: Packed value of S, A and B: seven of them sum to ``i + 8j`` < 64.
 _PACK = np.array([0, 1, 8], dtype=np.uint8)
 
 
-def _packed(grid: Grid) -> np.ndarray:
-    """``grid`` packed into an ``(h + 2, w + 2)`` buffer with a wrap border."""
-    h, w = grid.shape
-    pad = np.empty((h + 2, w + 2), dtype=np.uint8)
-    pad[1:-1, 1:-1] = _PACK[grid.cells]
-    return pad
+class _Layout(NamedTuple):
+    """Where an ``(h, w)`` torus lives in the flat buffer; see :func:`_layout`."""
+
+    stride: int  # S = w + 4
+    lo: int  # the kernel's range: positions lo..hi-1, lo and hi - lo even
+    hi: int
+    size: int  # buffer length, hi + S: the kernel reads positions lo - S..hi + S - 1
+    cells: np.ndarray  # (h, w) position of every cell
+    ghosts: np.ndarray  # every other position the kernel reads
+    sources: np.ndarray  # where each ghost takes its value
 
 
-def _signatures(pad: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Refresh the wrap border of ``pad``, then write every cell's ``i + 8j``.
+@lru_cache(maxsize=32)
+def _layout(h: int, w: int) -> _Layout:
+    """The flat layout of an ``(h, w)`` torus, built from ``neighbor_table``.
 
-    The border rows are copied first and the border columns, over the full
-    height, second, so the corners come out right.  Five adds follow: the
-    sums of horizontally adjacent pairs, once for every row of ``pad``; the
-    pair sums of the rows above and below; west, centre and east as a pair
-    sum plus the east cell; and those above-and-below sums at columns
-    ``c - 1`` and ``c`` on even rows, ``c`` and ``c + 1`` on odd rows, which
-    are the straight and the diagonal neighbours.
+    Cell ``(r, c)`` sits at ``lo + r*S + c - r//2``.  A ghost that some cell
+    reads as a neighbour takes that neighbour's torus cell; the E and W
+    ghosts of each row and the rows above the first and below the last are
+    these.  Every other ghost takes position 0, which lies below the range
+    the kernel reads and so stays S.  The kernel also sums ghosts, into
+    signatures no cell uses, so fixing every ghost keeps the signature bytes
+    a function of the state.  The result is cached and read-only.
     """
-    pad[0, 1:-1] = pad[-2, 1:-1]
-    pad[-1, 1:-1] = pad[1, 1:-1]
-    pad[:, 0] = pad[:, -2]
-    pad[:, -1] = pad[:, 1]
-    pairs = pad[:, :-1] + pad[:, 1:]  # pairs[r, k]: pad columns k and k + 1
-    vert = pairs[:-2] + pairs[2:]  # the rows above and below
-    np.add(pairs[1:-1, :-1], pad[1:-1, 2:], out=out)  # west, centre, east
-    out[0::2] += vert[0::2, :-1]
-    out[1::2] += vert[1::2, 1:]
+    s = w + 4
+    lo = s + 2 - s % 2  # even, and lo - s >= 1: the kernel never reads position 0
+    r = np.arange(h)[:, None]
+    cells = lo + r * s + np.arange(w) - r // 2
+    hi = int(cells[-1, -1]) + 1
+    hi += (hi - lo) % 2
+    size = hi + s
+    flat = cells.ravel()
+    # the six offsets in neighbor_table's order: E, SE, SW, W, NW, NE
+    reads = flat[:, None] + np.array([1, s, s - 1, -1, -s, 1 - s])
+    sources = np.zeros(size, dtype=np.intp)
+    sources[reads] = flat[neighbor_table(h, w)[:, 1:]]
+    ghost = np.ones(size, dtype=bool)
+    ghost[: lo - s] = False
+    ghost[flat] = False
+    ghosts = np.flatnonzero(ghost)
+    layout = _Layout(s, lo, hi, size, cells, ghosts, sources[ghosts])
+    for a in (cells, layout.ghosts, layout.sources):
+        a.setflags(write=False)
+    return layout
+
+
+def _signatures(buf: np.ndarray, lay: _Layout, out: np.ndarray) -> np.ndarray:
+    """Refresh the ghosts of ``buf``, then write the signature of every position
+    ``lo..hi-1`` into ``out``.
+
+    ``pairs[q]`` is positions ``q`` and ``q + 1``: at ``p`` that is the centre
+    and east, at ``p + S - 1`` south-west and south-east, and at ``p - S``
+    north-west and north-east; the west cell is the one single add.
+    """
+    buf[lay.ghosts] = buf[lay.sources]
+    s, lo, hi = lay.stride, lay.lo, lay.hi
+    pairs = buf[:-1] + buf[1:]
+    np.add(pairs[lo:hi], buf[lo - 1 : hi - 1], out=out)
+    out += pairs[lo + s - 1 : hi + s - 1]
+    out += pairs[lo - s : hi - s]
     return out
 
 
@@ -86,7 +126,11 @@ def signature_index(grid: Grid) -> np.ndarray:
     ``i`` and ``j`` count the A and B cells of the 7-cell neighbourhood,
     centre included; the result has the grid's shape.
     """
-    return _signatures(_packed(grid), np.empty(grid.shape, dtype=np.uint8))
+    lay = _layout(*grid.shape)
+    buf = np.zeros(lay.size, dtype=np.uint8)
+    buf[lay.cells] = _PACK[grid.cells]
+    out = _signatures(buf, lay, np.empty(lay.hi - lay.lo, dtype=np.uint8))
+    return out[lay.cells - lay.lo]
 
 
 def step(grid: Grid, rule: RuleMatrix) -> Grid:
@@ -177,15 +221,21 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
     frames -- unless ``keep_last`` caps how many trailing frames are kept.
     Frames before the kept window are never built.
 
+    A step is one kernel pass over the flat buffer (see the module
+    docstring): the ghost refresh and four adds give the signature of every
+    position of the range, and one pair-table lookup writes the next packed
+    state over the range in place.
+
     Once the states repeat, the rest of the run replays the cycle, so
     stepping stops at the first repeat that Brent's cycle detection finds.
-    The key of step ``t`` is the bytes of the signatures it reads, and
-    state ``t`` is the rule's table at them, so equal keys mean equal
-    states.  (Equal states can have unequal keys, when the states before
-    them differ; their successors' keys are then equal, one step later.)
-    One key is saved and compared with every later key; when the steps
-    since the save reach a power of two, the save moves to the current
-    step.  A soup that enters a cycle of period ``p`` at step ``m`` matches
+    The key of step ``t`` is the bytes of the signatures its pass writes,
+    ghosts included.  The refresh fixes every ghost from state ``t - 1``, so
+    the key is a function of that state, and state ``t`` is the rule's table
+    at the cells' signatures, so equal keys mean equal states.  (Equal
+    states can have unequal keys, when the states before them differ; their
+    successors' keys are then equal, one step later.)  One key is saved and
+    compared with every later key; when the steps since the save reach a
+    power of two, the save moves to the current step.  A soup that enters a cycle of period ``p`` at step ``m`` matches
     by step ``2 * max(m + 2, p) + p``, and the steps since the save are then
     exactly ``p``.  Stepping ``p - 1`` more times (fewer if the run ends
     first) collects the cycle's states, and every remaining kept frame is a
@@ -200,45 +250,41 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
         raise ValueError("keep_last must keep at least one frame")
     t0 = total - keep
     frames = [grid.copy()] if t0 == 0 else []
-    h, w = grid.shape
-    n = h * w
-    pad = _packed(grid)
-    # signatures in a buffer of even length (an odd grid gets one zero pad
-    # byte), read as uint16 so that one lookup updates two cells
-    flat = np.zeros(n + n % 2, dtype=np.uint8)
-    index = flat[:n].reshape(h, w)
-    two = flat.view(np.uint16)
-    table = rule.table.T.ravel()  # next state, indexed by i + 8j
-    state_pairs, packed_pairs = _pairs(table), _pairs(_PACK[table])
+    lay = _layout(*grid.shape)
+    buf = np.zeros(lay.size, dtype=np.uint8)
+    buf[lay.cells] = _PACK[grid.cells]
+    sig = np.empty(lay.hi - lay.lo, dtype=np.uint8)
+    # the signatures and the range they update, read as uint16: every uint16
+    # is below 64 * 256, the length of the pair table, so "clip" never clips;
+    # it only skips the bounds check
+    sig2, buf2 = sig.view(np.uint16), buf[lay.lo : lay.hi].view(np.uint16)
+    packed_pairs = _pairs(_PACK[rule.table.T.ravel()])  # next packed state, by i + 8j
 
-    def lookup(pairs: np.ndarray) -> np.ndarray:
-        """``pairs`` at every signature, as a fresh ``(h, w)`` array.
-
-        Every uint16 is below ``64 * 256``, the length of a pair table, so
-        ``"clip"`` never clips; it only skips the bounds check.
-        """
-        return pairs.take(two, mode="clip").view(np.uint8)[:n].reshape(h, w)
+    def state() -> np.ndarray:
+        """The state in ``buf`` as a fresh ``(h, w)`` array: 0, 1, 8 become 0, 1, 2."""
+        cells = buf.take(lay.cells)
+        return np.minimum(cells, 2, out=cells)
 
     saved, saved_t, power = None, 0, 1
     for t in range(1, total):
-        _signatures(pad, index)
-        key = index.tobytes()
+        key = _signatures(buf, lay, sig).tobytes()
         if key == saved:
             break
         if t - saved_t == power:
             saved, saved_t, power = key, t, 2 * power
+        packed_pairs.take(sig2, mode="clip", out=buf2)
         if t >= t0:
-            frames.append(Grid(lookup(state_pairs)))
-        pad[1:-1, 1:-1] = lookup(packed_pairs)
+            frames.append(Grid(state()))
     else:
         return Trajectory(frames, t0=t0)
     # state t is state t - p: state u >= t is cycle[(u - t) % p]
     p = t - saved_t
-    cycle = [lookup(state_pairs)]
+    packed_pairs.take(sig2, mode="clip", out=buf2)
+    cycle = [state()]
     for _ in range(min(p, total - t) - 1):
-        pad[1:-1, 1:-1] = lookup(packed_pairs)
-        _signatures(pad, index)
-        cycle.append(lookup(state_pairs))
+        _signatures(buf, lay, sig)
+        packed_pairs.take(sig2, mode="clip", out=buf2)
+        cycle.append(state())
     frames.extend(Grid(cycle[(u - t) % p].copy()) for u in range(max(t, t0), total))
     return Trajectory(frames, t0=t0)
 

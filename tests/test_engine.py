@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hexreact import engine
 from hexreact.engine import (
     Trajectory,
     frames_to_text,
@@ -16,7 +17,7 @@ from hexreact.engine import (
     step,
     step_reference,
 )
-from hexreact.hexgrid import CellState, Grid, neighborhood
+from hexreact.hexgrid import CellState, Grid, neighbor_table, neighborhood
 from hexreact.rules import RuleMatrix, random_rule
 
 
@@ -98,6 +99,37 @@ def test_signature_index_counts_each_neighborhood(cells):
     got = signature_index(g)
     assert got.dtype == np.uint8 and got.shape == (h, w)
     assert np.array_equal(got, expected)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(3, 40), st.integers(3, 40))
+@example(3, 3)
+@example(5, 3)  # odd height, width 3
+@example(40, 40)
+def test_layout_ghosts_hold_the_torus_neighbours(h, w):
+    # label every cell by its flat index and every other position with junk,
+    # then refresh as the kernel does: each of the six fixed offsets of every
+    # cell must hold the neighbour neighbor_table names, and no position the
+    # kernel reads may keep its junk
+    lay = engine._layout(h, w)
+    s, lo, hi = lay.stride, lay.lo, lay.hi
+    assert s == w + 4 and lo % 2 == 0 and (hi - lo) % 2 == 0 and lay.size == hi + s
+    r = np.arange(h)[:, None]
+    assert np.array_equal(lay.cells, lo + r * s + np.arange(w) - r // 2)
+    assert lay.cells.min() >= lo and lay.cells.max() < hi
+    assert lo - s >= 1  # position 0, the source of ghosts no cell reads, is never read
+    cells = lay.cells.ravel()
+    buf = np.full(lay.size, -2, dtype=np.int64)
+    buf[0] = -1
+    buf[cells] = np.arange(h * w)
+    buf[lay.ghosts] = buf[lay.sources]
+    offsets = np.array([1, s, s - 1, -1, -s, 1 - s])  # E, SE, SW, W, NW, NE
+    assert np.array_equal(buf[cells[:, None] + offsets], neighbor_table(h, w)[:, 1:])
+    # the adds read positions lo - s .. hi + s - 1, the buffer past position 0
+    read = set(range(lo - s, lay.size))
+    assert read - set(cells.tolist()) <= set(lay.ghosts.tolist())
+    assert not set(lay.ghosts.tolist()) & set(cells.tolist())
+    assert (buf[lo - s :] >= -1).all()
 
 
 # -- run/trajectory ------------------------------------------------------------
@@ -229,6 +261,66 @@ def test_run_replays_a_period_two_cycle_from_the_start(steps, keep_last):
     assert_run_matches_step_loop(grid, rule, steps, keep_last, stepper=step_reference)
     expected = [Grid.filled(4, 4, CellState.A + t % 2) for t in range(steps + 1)]
     assert run(grid, rule, steps).frames == expected
+
+
+def brent_passes(states, total):
+    """Kernel passes of a run of ``total`` frames under Brent's documented schedule.
+
+    ``states[t]`` is state ``t``.  The key of step ``t`` stands for the state
+    it reads, ``t - 1``; the saved key moves to step ``t`` when the steps
+    since the save reach a power of two.  At the first match, ``p`` steps after
+    the save, ``p - 1`` more passes (fewer if the run ends) collect the cycle.
+    """
+    saved, saved_t, power = None, 0, 1
+    for t in range(1, total):
+        key = states[t - 1].cells.tobytes()
+        if key == saved:
+            p = t - saved_t
+            return t + min(p, total - t) - 1
+        if t - saved_t == power:
+            saved, saved_t, power = key, t, 2 * power
+    return total - 1
+
+
+def count_passes(monkeypatch, grid, rule, steps, keep_last):
+    passes = []
+    kernel = engine._signatures
+
+    def spy(*args):
+        passes.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(engine, "_signatures", spy)
+    run(grid, rule, steps, keep_last=keep_last)
+    return len(passes)
+
+
+@pytest.mark.parametrize("name", sorted(SETTLING_SOUPS))
+@pytest.mark.parametrize("steps, keep_last", [(40, None), (40, 1), (13, 5), (200, 60)])
+def test_run_stops_stepping_where_brents_schedule_says(name, steps, keep_last, monkeypatch):
+    # a position the kernel reads but does not refresh would make the key
+    # depend on more than the state, and equal states could then miss the
+    # match: every frame would still be right, only the early exit would go
+    rule, grid = settling_soup(name)
+    states = [grid]
+    for _ in range(steps):
+        states.append(step_reference(states[-1], rule))
+    expected = brent_passes(states, steps + 1)
+    assert count_passes(monkeypatch, grid, rule, steps, keep_last) == expected
+    if steps >= 40:  # both soups settle by frame 12, so the run stops early
+        assert expected < steps
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 4, 10, 11])
+def test_run_stops_stepping_a_period_two_cycle_at_once(steps, monkeypatch):
+    # the key of step 3 matches the one saved at step 1, and one more pass
+    # collects the cycle: four passes however long the run
+    rule = RuleMatrix.from_entries({(7, 0): 2, (0, 7): 1})
+    grid = Grid.filled(4, 4, CellState.A)
+    states = [Grid.filled(4, 4, CellState.A + t % 2) for t in range(steps + 1)]
+    expected = brent_passes(states, steps + 1)
+    assert expected == min(steps, 4)
+    assert count_passes(monkeypatch, grid, rule, steps, 1) == expected
 
 
 def test_trajectory_needs_frames():
