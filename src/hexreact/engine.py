@@ -31,8 +31,8 @@ Both include the centre cell in the counts.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,8 @@ from .rules import RuleMatrix
 _PACK = np.array([0, 1, 8], dtype=np.uint8)
 
 
-class _Layout(NamedTuple):
+@dataclass(frozen=True)
+class _Layout:
     """Where an ``(h, w)`` torus lives in the flat buffer; see :func:`_layout`."""
 
     stride: int  # S = w + 4
@@ -235,12 +236,13 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
     states can have unequal keys, when the states before them differ; their
     successors' keys are then equal, one step later.)  One key is saved and
     compared with every later key; when the steps since the save reach a
-    power of two, the save moves to the current step.  A soup that enters a cycle of period ``p`` at step ``m`` matches
-    by step ``2 * max(m + 2, p) + p``, and the steps since the save are then
-    exactly ``p``.  Stepping ``p - 1`` more times (fewer if the run ends
-    first) collects the cycle's states, and every remaining kept frame is a
-    fresh copy of its state.  Beyond the kept frames, memory is one key and
-    at most one period of states.
+    power of two, the save moves to the current step.  A soup that enters a
+    cycle of period ``p`` at step ``m`` matches by step
+    ``2 * max(m + 2, p) + p``, and the steps since the save are then exactly
+    ``p``.  Stepping ``p - 1`` more times (fewer if the run ends first)
+    collects the cycle's states, and every remaining kept frame is a fresh
+    copy of its state.  Beyond the kept frames, memory is one key and at
+    most one period of states.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
