@@ -104,13 +104,9 @@ def cmd_simulate(args) -> int:
 def cmd_detect(args) -> int:
     rule = load_rule(args.rule)
     grid = _read_grid(args.grid)
-    # the tracker's own checks, made before the run rather than after it
-    if grid.height % 2:
-        raise ValueError("tracking requires an even grid height (torus parity)")
-    if args.p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    if args.window > args.steps + 1:  # as FitnessConfig: run keeps at most steps + 1 frames
-        raise ValueError("window longer than the run")
+    # the soup-run checks, the tracker's among them, made before the run
+    FitnessConfig(width=grid.width, height=grid.height, patch_width=0, patch_height=0,
+                  steps=args.steps, window=args.window, p_max=args.p_max)
     traj = run(grid, rule, args.steps, keep_last=args.window)
     locs = track(traj, p_max=args.p_max)
     lines = [REPORT_HEADER] + report_rows(locs)

@@ -30,9 +30,8 @@ component's track ends on that frame, and the mobile path skips it), and
 ``extract_components`` none.  ``track`` links frame to frame with one gather
 of the earlier frame's ``reach`` at the later frame's cells, and a component
 that lives one frame gets its Localization without a ``_Track``.
-``extract_components`` is the pass over a one-frame block plus each
-component's dilation from the neighbour table, and ``canonical_shape`` runs
-``_shapes`` on one component.
+``extract_components`` is the pass over a one-frame block, cut into its
+components, and ``canonical_shape`` runs ``_shapes`` on one component.
 
 A settled soup's window repeats a few grids over and over, so ``track`` does
 each grid's work once.  ``_frames`` keys every frame by its bytes and scans
@@ -103,13 +102,11 @@ class Component:
     """A maximal connected set of non-S cells in one frame.
 
     ``cells`` holds sorted flat indices (row * width + col); ``states`` is
-    aligned with it.  ``dilated`` holds the sorted cells of the component and
-    of the one-cell ring around it.
+    aligned with it.
     """
 
     cells: np.ndarray
     states: np.ndarray
-    dilated: np.ndarray
 
     @property
     def size(self) -> int:
@@ -321,21 +318,13 @@ def extract_components(grid: Grid) -> list[Component]:
 
     6-neighbour adjacency on the torus, labelled for the whole frame at once
     by ``_scan``, the pass ``track`` runs, on a block of this one frame,
-    without its canonical shapes; the dilations come from ``neighbor_table``.
-    Components come back ordered by their smallest flat index, so the result
-    is deterministic.  Requires an even grid height.
+    without its canonical shapes.  Components come back ordered by their
+    smallest flat index, so the result is deterministic.  Requires an even
+    grid height.
     """
     frame = _scan(grid.cells[None], "none")[0]
-    size, b = grid.cells.size, frame.bounds.tolist()
-    # every dilation from one sort of (component, cell) keys
-    comp = np.repeat(np.arange(len(frame)), np.diff(frame.bounds))
-    keys = _unique(comp[:, None] * size + neighbor_table(*grid.shape)[frame.cells])
-    owner, dilated = np.divmod(keys, size)
-    d = np.searchsorted(owner, np.arange(len(frame) + 1)).tolist()
-    return [
-        Component(frame.cells[lo:hi], frame.states[lo:hi], dilated[dlo:dhi])
-        for lo, hi, dlo, dhi in zip(b, b[1:], d, d[1:])
-    ]
+    b = frame.bounds.tolist()
+    return [Component(frame.cells[lo:hi], frame.states[lo:hi]) for lo, hi in zip(b, b[1:])]
 
 
 # -- canonical shapes --------------------------------------------------------
@@ -616,8 +605,8 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
     The track ends on component ``k`` of ``frame`` (time ``t``); ``trk`` is its
     ``_Track``, or None for a track that lived on that frame alone, and
     ``reason`` is ``"merge"``, ``"split"``, ``"proximity"`` or None.  Frames
-    are scanned with ``_scan``'s ``shaped``.  The grid and ``p_max`` checks
-    run on the first ``next``.
+    are scanned with ``_scan``'s ``shaped``.  The ``p_max`` check runs on the
+    first ``next``, and so does ``_scan``'s grid check.
 
     A track continues where its component has one successor that no other
     component claims: a clean link.  Each frame's loop visits the tracks past
@@ -633,7 +622,6 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
     with reason None.
     """
     h, w = tr.frames[0].shape
-    _require_even_height(h)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
 

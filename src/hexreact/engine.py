@@ -282,12 +282,12 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
     # state t is state t - p: state u >= t is cycle[(u - t) % p]
     p = t - saved_t
     packed_pairs.take(sig2, mode="clip", out=buf2)
-    cycle = [state()]
+    cycle = [Grid(state())]
     for _ in range(min(p, total - t) - 1):
         _signatures(buf, lay, sig)
         packed_pairs.take(sig2, mode="clip", out=buf2)
-        cycle.append(state())
-    frames.extend(Grid(cycle[(u - t) % p].copy()) for u in range(max(t, t0), total))
+        cycle.append(Grid(state()))
+    frames.extend(cycle[(u - t) % p].copy() for u in range(max(t, t0), total))
     return Trajectory(frames, t0=t0)
 
 

@@ -142,7 +142,10 @@ class Grid:
         return self.cells.shape
 
     def copy(self) -> "Grid":
-        return Grid(self.cells.copy())
+        # no second as_states: the cells passed it when they came in
+        grid = Grid.__new__(Grid)
+        grid.cells = self.cells.copy()
+        return grid
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
@@ -212,25 +215,8 @@ def count_states(grid: Grid, cell: tuple[int, int]) -> tuple[int, int]:
 
     The centre cell is included, so ``0 <= i + j <= 7``.
     """
-    cells = grid.cells
-    r, c = cell
-    h, w = cells.shape
-    r %= h
-    c %= w
-    offs = ODD_ROW_NEIGHBORS if r & 1 else EVEN_ROW_NEIGHBORS
-    i = j = 0
-    v = cells[r, c]
-    if v == 1:
-        i = 1
-    elif v == 2:
-        j = 1
-    for dr, dc in offs:
-        v = cells[(r + dr) % h, (c + dc) % w]
-        if v == 1:
-            i += 1
-        elif v == 2:
-            j += 1
-    return i, j
+    values = [grid[rc] for rc in neighborhood(grid, cell)]
+    return values.count(1), values.count(2)
 
 
 @lru_cache(maxsize=32)

@@ -332,12 +332,13 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "height, p_max, message",
-    [(65, 12, "tracking requires an even grid height"), (64, 0, r"p_max must be >= 1")],
-    ids=["odd-height", "p-max-0"],
+    "height, p_max, window, message",
+    [(65, 12, 48, "tracking requires an even grid height"), (64, 0, 48, r"p_max must be >= 1"),
+     (64, 12, 0, "window must be >= 1")],
+    ids=["odd-height", "p-max-0", "window-0"],
 )
 def test_detect_rejects_what_the_tracker_would_before_the_run(
-        glider_files, tmp_path, monkeypatch, capsys, height, p_max, message):
+        glider_files, tmp_path, monkeypatch, capsys, height, p_max, window, message):
     def no_run(*args, **kwargs):
         raise AssertionError("detect ran the automaton before checking its inputs")
 
@@ -346,7 +347,7 @@ def test_detect_rejects_what_the_tracker_would_before_the_run(
     grid = tmp_path / "g.txt"
     grid.write_text(Grid.filled(height, 64).to_text())
     rc = main(["detect", "--rule", rule, "--grid", str(grid), "--steps", "30000",
-               "--p-max", str(p_max), "--out", str(tmp_path / "r.csv")])
+               "--p-max", str(p_max), "--window", str(window), "--out", str(tmp_path / "r.csv")])
     assert rc == 1
     assert re.search(f"hexreact: {message}", capsys.readouterr().err)
 

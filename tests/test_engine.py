@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hexreact import engine
+from hexreact import engine, hexgrid
 from hexreact.engine import (
     Trajectory,
     frames_to_text,
@@ -250,6 +250,22 @@ def test_run_replays_a_settled_soup(name, keep_last):
     # 40 steps: a window of 5 starts after the soup settles, one of 35 before
     rule, grid = settling_soup(name)
     assert_run_matches_step_loop(grid, rule, 40, keep_last, stepper=step_reference)
+
+
+def test_run_checks_a_replayed_state_once(monkeypatch):
+    # the soup settles by frame 12, so a window of 5 after 40 steps is all
+    # replay: one cycle state is checked into a Grid, and its copies are not
+    rule, grid = settling_soup("fixed point")
+    checks = []
+    check = hexgrid.as_states
+
+    def spy(*args):
+        checks.append(1)
+        return check(*args)
+
+    monkeypatch.setattr(hexgrid, "as_states", spy)
+    run(grid, rule, 40, keep_last=5)
+    assert len(checks) == 1
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 3, 10, 11])
