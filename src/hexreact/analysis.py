@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,8 +318,8 @@ def symmetrize(f1: np.ndarray, f2: np.ndarray, eps: float) -> tuple[np.ndarray, 
     Idempotent.  (The floor of the mean is no coupling: the floor of a mean
     of two likelihoods in [0, 1] is 0 unless both are 1.)
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:  # NaN fails too
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     out1 = np.array(f1, dtype=float)
     out2 = np.array(f2, dtype=float)
     for (i, j), k in PAIR_INDEX.items():
@@ -447,6 +448,8 @@ def enumerate_rules(rset: ReducedRuleSet):
 
 def sample_rules(rset: ReducedRuleSet, n: int, rng: np.random.Generator) -> list[RuleMatrix]:
     """Draw n distinct rules uniformly from the class (per-entry choice)."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"the rule count must be a positive integer, got {n!r}")
     if n > rset.count():
         raise ValueError(f"class only holds {rset.count()} rules")
     choices = [sorted(rset.allowed[pair]) for pair in PAIRS]

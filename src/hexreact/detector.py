@@ -28,8 +28,9 @@ Which components get a shape is the caller's choice: ``track`` shapes every
 one, ``mobile_localizations`` only those not flagged for proximity (a flagged
 component's track ends on that frame, and the mobile path skips it), and
 ``extract_components`` none.  ``track`` links frame to frame with one gather
-of the earlier frame's ``reach`` at the later frame's cells, and a component
-that lives one frame gets its Localization without a ``_Track``.
+of the earlier frame's ``reach`` at the later frame's cells.  Every unflagged
+component waits one frame as a candidate; one that ends there gets its
+Localization without a ``_Track``.
 ``extract_components`` is the pass over a one-frame block, cut into its
 components, and ``canonical_shape`` runs ``_shapes`` on one component.
 
@@ -44,8 +45,9 @@ first-occurrence id of the earlier one, and a repeated pair of grids reuses
 it; a pair whose later grid does not recur cannot repeat, so its result is
 not kept.  A stored result lives exactly as long as its frame.
 
-``_ends`` yields each track as it ends; for ``track`` it yields every one,
-and for ``mobile_localizations`` only those that can be mobile.  The rest
+``_ends`` visits a frame's candidates in one loop: each extends over its clean
+link or ends.  It yields each track as it ends; for ``track`` it yields every
+one, and for ``mobile_localizations`` only those that can be mobile.  The rest
 are Unresolved whatever their shapes: a track that lived one frame has no
 period, since ``classify`` needs 2p >= 2 frames, and one ended by a merge,
 split or proximity is Unresolved by definition.  In soups that do not settle
@@ -127,19 +129,19 @@ class _Frame:
     ``mobile_localizations``' frames only those not flagged ``clash``, and on
     ``extract_components``' frame none.
 
-    ``clash[k]`` flags a component within two cells of another one, and
-    ``flagged`` lists the flagged components in ascending order.  Two
-    components on the same frame always sit at least two cells apart (closer
-    and they would be one component); their dilations intersect exactly when
-    the gap is two, i.e. when they can influence each other's next step, so
-    an unflagged component's dilation meets no other one.  ``linked`` holds
-    what ``_ends`` takes from ``_links`` for the step into this frame, keyed
-    by the first-occurrence id of the previous frame, when the frame's grid
-    recurs later in the window.
+    ``clash[k]`` flags a component within two cells of another one;
+    ``flagged`` and ``unflagged`` list the flagged and the other components in
+    ascending order.  Two components on the same frame always sit at least two
+    cells apart (closer and they would be one component); their dilations
+    intersect exactly when the gap is two, i.e. when they can influence each
+    other's next step, so an unflagged component's dilation meets no other
+    one.  ``linked`` holds what ``_ends`` takes from ``_links`` for the step
+    into this frame, keyed by the first-occurrence id of the previous frame,
+    when the frame's grid recurs later in the window.
     """
 
     __slots__ = ("cells", "states", "bounds", "labels", "reach", "shapes", "anchors", "clash",
-                 "flagged", "linked")
+                 "flagged", "unflagged", "linked")
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -262,14 +264,17 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
         shapes, anchors = [None] * count, [None] * count
         for k, shape, anchor in zip(kept.tolist(), *got):
             shapes[k], anchors[k] = shape, anchor
-    # the flagged components of every frame, once per block, counted from each frame's first
-    flagged = np.flatnonzero(clash)
-    cuts = np.searchsorted(flagged, first).tolist()
-    flagged = (flagged - first[np.searchsorted(first, flagged, side="right") - 1]).tolist()
+    # the flagged and the unflagged components of every frame, once per block, counted
+    # from each frame's first (a component's root cell holds that count in ``own``)
+    local = own[is_root]
+    flagged, unflagged = local[clash].tolist(), local[~clash].tolist()
+    cuts = np.searchsorted(np.flatnonzero(clash), first)  # flagged components before each frame
+    fcuts, ucuts = cuts.tolist(), (first - cuts).tolist()
     frames = [_Frame() for _ in range(nf)]
     for t, (frame, c0, c1) in enumerate(zip(frames, first.tolist(), first[1:].tolist())):
         lo, hi, view = bounds[c0], bounds[c1], slice(t * size, (t + 1) * size)
-        frame.flagged = flagged[cuts[t] : cuts[t + 1]]
+        frame.flagged = flagged[fcuts[t] : fcuts[t + 1]]
+        frame.unflagged = unflagged[ucuts[t] : ucuts[t + 1]]
         frame.cells, frame.states = cells[lo:hi], states[lo:hi]
         frame.bounds = bounds[c0 : c1 + 1] - lo
         frame.labels, frame.reach = labels[view], reach[view]
@@ -609,14 +614,16 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
     first ``next``, and so does ``_scan``'s grid check.
 
     A track continues where its component has one successor that no other
-    component claims: a clean link.  Each frame's loop visits the tracks past
-    their first frame and the fresh components (unflagged ones that no track
-    reached) with a clean link; every other fresh component is a track that
-    lives one frame.  On the full path every end is yielded: per frame, the
-    tracks that stop on the earlier frame (tracks past their first frame in
-    the order they began, then fresh components by index), then the tracks
-    proximity ends on the later frame, by component.  On the mobile path
-    (``"unflagged"``) a link to a flagged component is not clean, so no
+    component claims: a clean link.  ``live`` holds every unflagged component
+    of the previous frame: its ``_Track``, or None for a fresh component (one
+    no track reached).  Tracks past their first frame come first, in the
+    order they began, then fresh components by index.  One loop per frame
+    visits them in that order, and each either extends over its clean link (a
+    fresh component builds its ``_Track`` first) or ends on the earlier
+    frame.  On the full path every end is yielded: per frame, the ends of
+    that loop, then the tracks proximity ends on the later frame, by
+    component; after the last frame, every entry of ``live``.  On the mobile
+    path (``"unflagged"``) a link to a flagged component is not clean, so no
     ``_Track`` steps onto a component without a shape, and only the ends
     that can be mobile are yielded: tracks past their first frame that end
     with reason None.
@@ -627,57 +634,48 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
 
     table = neighbor_table(h, w)
     every = shaped != "unflagged"  # the full path yields every end
-    live: dict[int, _Track] = {}  # tracks past their first frame, by component of prev
+    live: dict[int, _Track | None] = {}  # every unflagged component of prev: its track, or None
     prev = prev_id = None
     for t, (frame_id, frame, again) in enumerate(_frames(tr, shaped), start=tr.t0):
-        nxt: dict[int, _Track] = {}
-        if live or (prev is not None and not prev.clash.all()):
+        nxt: dict[int, _Track | None] = {}
+        if live:
             step = frame.linked.get(prev_id)
             if step is None:
                 nsucc, succ, nclaim = _links(prev, frame)
                 clean = nsucc == 1
                 ok = nclaim == 1 if every else (nclaim == 1) & ~frame.clash
                 clean[clean] = ok[succ[clean]]
-                # the anchor step of every clean link, then (full path) the unflagged
-                # components of prev without one; a flagged component reaches nothing,
-                # so it is never clean
+                # the anchor step of every clean link; a flagged component reaches
+                # nothing, so it is never clean
                 to = succ.tolist()
                 deltas = {
                     k: _axial_delta(prev.anchors[k], frame.anchors[to[k]], h, w)
                     for k in np.flatnonzero(clean).tolist()
                 }
-                stops = np.flatnonzero(~clean & ~prev.clash).tolist() if every else []
-                step = nsucc.tolist(), to, deltas, stops
+                step = nsucc.tolist(), to, deltas
                 if again:  # the pair of grids can recur only if this one does
                     frame.linked[prev_id] = step
-            counts, to, deltas, stops = step
+            counts, to, deltas = step
             for k, trk in live.items():
                 if k in deltas:
+                    if trk is None:
+                        trk = _Track(t - 1, p_max, prev, k, table)
                     trk.extend(frame, to[k], deltas[k])
                     nxt[to[k]] = trk
-                elif every or not counts[k]:
+                elif every or trk is not None and not counts[k]:
                     yield trk, t - 1, prev, k, _reason(counts[k])
-            for k in stops:
-                if k not in live:
-                    yield None, t - 1, prev, k, _reason(counts[k])
-            for k, delta in deltas.items():
-                if k not in live:
-                    trk = _Track(t - 1, p_max, prev, k, table)
-                    trk.extend(frame, to[k], delta)
-                    nxt[to[k]] = trk
 
         if every:
             for k in frame.flagged:
                 yield nxt.pop(k, None), t, frame, k, "proximity"
+        for k in frame.unflagged:
+            nxt.setdefault(k, None)
         live = nxt
         prev, prev_id = frame, frame_id
 
     for k, trk in live.items():
-        yield trk, t, prev, k, None
-    if every:
-        for k in np.flatnonzero(~prev.clash).tolist():
-            if k not in live:
-                yield None, t, prev, k, None
+        if every or trk is not None:
+            yield trk, t, prev, k, None
 
 
 def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:

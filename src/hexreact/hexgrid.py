@@ -161,7 +161,7 @@ class Grid:
         return int(self.cells[rc])
 
     def __setitem__(self, rc, value) -> None:
-        self.cells[rc] = int(value)
+        self.cells[rc] = as_states(value, "cell values")
 
     def __repr__(self) -> str:
         return f"Grid({self.height}x{self.width})"

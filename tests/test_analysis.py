@@ -179,6 +179,16 @@ def test_symmetrize_input_validation():
         an.symmetrize(fa, fb, eps=0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0, -0.1])
+def test_symmetrize_rejects_a_non_finite_or_non_positive_eps(eps):
+    fa, fb = tables_with({}, {})
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        an.symmetrize(fa, fb, eps=eps)
+    # reduce_likelihoods symmetrizes first: NaN would pass every `v >= eps` as False
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        an.reduce_likelihoods(an.reference_likelihoods(), eps=eps)
+
+
 # -- bundled reference tables --------------------------------------------------------
 
 
@@ -312,6 +322,14 @@ def test_sample_more_than_class_size_rejected():
     r = an.ReducedRuleSet({(1, 1): {0, 1}})
     with pytest.raises(ValueError):
         an.sample_rules(r, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [0, -2, 1.5])
+def test_sample_rules_rejects_a_count_that_is_not_a_positive_integer(n):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="rule count must be a positive integer"):
+        an.sample_rules(an.reference_reduced_set(), n, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # drew nothing
 
 
 def test_guided_rule_respects_hard_statistics():
@@ -482,6 +500,19 @@ def test_find_glider_recovers_bundled_rule():
     assert trace.loc.loc_class == GLIDER
     needed = trace.necessary()
     assert (0, 0) in needed
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [((0, 0, 1),), ((0, 0, 1), (0, 6, 2))],
+    ids=["one-unresolved-track", "two-tracks"],
+)
+def test_replant_glider_rejects_what_does_not_glide_alone(shape):
+    # under the all-S rule every cell dies at once: a lone cell tracks as one
+    # Unresolved track, two cells six columns apart as two tracks
+    dead = RuleMatrix([0] * 36)
+    assert len(track(run(an._materialize_shape(shape), dead, 52))) == len(shape)
+    assert an.replant_glider(dead, shape) is None
 
 
 def test_corpus_likelihoods_skips_gliderless_rules():

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hexreact import analysis, cli
+from hexreact import analysis, cli, detector
 from hexreact.cli import build_parser, main
 from hexreact.detector import FitnessConfig
 from hexreact.engine import parse_frames
@@ -200,6 +200,14 @@ def test_reduce_rejects_a_likelihood_row_off_the_pair_table(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reduce_rejects_a_nan_eps(tmp_path, capsys):
+    out = tmp_path / "R.csv"
+    rc = main(["reduce", "--likelihoods", "reference", "--eps", "nan", "--out", str(out)])
+    assert rc == 1
+    assert "hexreact: eps must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_a_negative_patch_before_any_soup(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--rules", "1", "--patch-width", "-1", "--out", str(out)])
@@ -294,6 +302,18 @@ def test_sweep_reference_class(tmp_path):
     assert len(lines) == 3
     meta = read_meta(out)
     assert "histogram" in meta and "mobile" in meta
+
+
+def test_sweep_rejects_a_negative_rule_count_before_any_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sweep ran the automaton before checking its inputs")
+
+    monkeypatch.setattr(detector, "run", no_run)
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--rules", "-2", "--out", str(out)])
+    assert rc == 1
+    assert "hexreact: the rule count must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_census_writes_protocol_header_and_rows(tmp_path):

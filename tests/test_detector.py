@@ -371,6 +371,21 @@ def test_classify_is_idempotent_and_pure_on_caches():
     assert classify(loc) == first == loc.loc_class
 
 
+def test_classify_skips_a_period_whose_anchor_steps_differ():
+    # the shape recurs every frame, but the anchor steps alternate (0, 1), (0, 2):
+    # period 1 fails on the steps, period 2 moves (0, 3) each time
+    shape = ((0, 0, 1),)
+    anchors = [(0, 0), (0, 1), (0, 3), (0, 4), (0, 6), (0, 7)]
+    loc = Localization(first_frame=0, shapes=[shape] * 6, anchors=anchors)
+    assert classify(loc) == GLIDER
+    assert (loc.period, loc.displacement) == (2, (0, 3))
+
+
+def test_track_rejects_a_p_max_below_one():
+    with pytest.raises(ValueError, match="p_max must be >= 1"):
+        track(make_trajectory([grid_with(12, 12, TRIPLE)] * 3), p_max=0)
+
+
 # -- fitness --------------------------------------------------------------------
 
 

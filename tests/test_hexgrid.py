@@ -159,6 +159,16 @@ def test_grid_takes_integer_and_bool_arrays():
     assert Grid(np.full((3, 5), 2, dtype=np.int64)).counts() == (0, 0, 15)
 
 
+def test_setitem_checks_the_state_like_the_constructor():
+    g = Grid.filled(6, 6)
+    for bad in (5, -1, 1.7):
+        with pytest.raises(ValueError, match="cell values"):
+            g[0, 1] = bad
+    assert g == Grid.filled(6, 6)  # a rejected value leaves the grid as it was
+    g[0, 1] = CellState.B
+    assert g[0, 1] == CellState.B
+
+
 def test_text_round_trip_is_exact():
     rng = np.random.default_rng(3)
     g = random_grid(rng, 7, 4)

@@ -3,6 +3,7 @@ no hexreact module imports anything but the standard library, numpy and
 hexreact, and none reaches for another one's private names."""
 
 import ast
+import importlib
 import sys
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -29,6 +30,14 @@ def test_every_fixture_matches_a_package_data_glob():
         if not any(fnmatchcase(p.relative_to(PACKAGE).as_posix(), g) for g in globs)
     ]
     assert missing == []
+
+
+def test_every_console_script_target_imports_and_is_callable():
+    scripts = _pyproject()["project"]["scripts"]
+    assert "hexreact" in scripts  # the name CI runs
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), target
 
 
 def test_every_module_the_tests_import_is_declared():
