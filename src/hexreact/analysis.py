@@ -115,13 +115,22 @@ class LikelihoodMatrices:
 
     @classmethod
     def from_csv(cls, text: str) -> "LikelihoodMatrices":
+        """The tables ``to_csv`` writes.  Every value must lie in [0, 1], and every
+        row's four must sum to 1 after rounding to 9 decimals, the rounding
+        ``reduce_likelihoods`` uses; any bad row is a ValueError naming its line."""
         tables = [np.zeros(36) for _ in range(4)]
-        for k, (n, values) in _pair_rows(text, 6).items():
+        for k, (n, fields) in _pair_rows(text, 6).items():
             try:
-                for table, v in zip(tables, values):
-                    table[k] = float(v)
+                values = [float(v) for v in fields]
             except ValueError:
                 raise ValueError(f"line {n}: likelihoods must be numbers") from None
+            for v in values:
+                if not 0 <= v <= 1:  # NaN fails too
+                    raise ValueError(f"line {n}: likelihood {v!r} is outside [0, 1]")
+            if round(sum(values), 9) != 1:
+                raise ValueError(f"line {n}: likelihoods sum to {sum(values)!r}, not 1")
+            for table, v in zip(tables, values):
+                table[k] = v
         return cls(*tables)
 
 

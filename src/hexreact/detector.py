@@ -39,14 +39,18 @@ each grid's work once.  ``_frames`` keys every frame by its bytes and scans
 only first occurrences; a repeated frame gets the ``_Frame`` scanned at its
 first occurrence.  That is exact: equal grids scan to equal frames, whatever
 block they fall in.  Proximity is a flag of the scanned frame, so ``_links``
-reads its two frames and nothing else.  When the later frame's grid recurs
-in the window, ``_ends`` stores the result on that frame under the
-first-occurrence id of the earlier one, and a repeated pair of grids reuses
-it; a pair whose later grid does not recur cannot repeat, so its result is
-not kept.  A stored result lives exactly as long as its frame.
+reads its two frames and nothing else.  ``_ends`` keeps each link step it
+takes from ``_links`` for the rest of the window, keyed by the pair of
+first-occurrence ids, and a repeated pair of grids reuses it.  A step holds
+lists and anchor steps, no frame, so it keeps no frame alive.
 
-``_ends`` visits a frame's candidates in one loop: each extends over its clean
-link or ends.  It yields each track as it ends; for ``track`` it yields every
+A ``_Frame`` holds only what the block pass computes; ``_ends`` owns the
+window's state.  It visits a frame's candidates in one loop, where each
+extends over its clean link or ends, then the frame's components in one loop
+in ascending order, where an unflagged one becomes a candidate and a flagged
+one ends its track by proximity.  A link is clean only onto a component that
+has an anchor, which on the mobile path leaves out exactly the flagged ones.
+It yields each track as it ends; for ``track`` it yields every
 one, and for ``mobile_localizations`` only those that can be mobile.  The rest
 are Unresolved whatever their shapes: a track that lived one frame has no
 period, since ``classify`` needs 2p >= 2 frames, and one ended by a merge,
@@ -129,19 +133,16 @@ class _Frame:
     ``mobile_localizations``' frames only those not flagged ``clash``, and on
     ``extract_components``' frame none.
 
-    ``clash[k]`` flags a component within two cells of another one;
-    ``flagged`` and ``unflagged`` list the flagged and the other components in
-    ascending order.  Two components on the same frame always sit at least two
-    cells apart (closer and they would be one component); their dilations
-    intersect exactly when the gap is two, i.e. when they can influence each
-    other's next step, so an unflagged component's dilation meets no other
-    one.  ``linked`` holds what ``_ends`` takes from ``_links`` for the step
-    into this frame, keyed by the first-occurrence id of the previous frame,
-    when the frame's grid recurs later in the window.
+    ``clash[k]`` flags a component within two cells of another one.  Two
+    components on the same frame always sit at least two cells apart (closer
+    and they would be one component); their dilations intersect exactly when
+    the gap is two, i.e. when they can influence each other's next step, so
+    an unflagged component's dilation meets no other one.  These eight fields
+    are all a frame holds: what ``_scan`` computes and nothing that tracking
+    keeps (``_ends`` owns that).
     """
 
-    __slots__ = ("cells", "states", "bounds", "labels", "reach", "shapes", "anchors", "clash",
-                 "flagged", "unflagged", "linked")
+    __slots__ = ("cells", "states", "bounds", "labels", "reach", "shapes", "anchors", "clash")
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -253,7 +254,7 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
     comp, key = np.divmod(np.sort(comp * (nf * size) + nz), nf * size)
     cells, states = key % size, flat[key]
     bounds = np.searchsorted(comp, np.arange(count + 1))
-    shapes = anchors = [None] * count
+    shapes, anchors = [None] * count, [None] * count
     if shaped == "all":
         shapes, anchors = _shapes(cells, states, bounds, h, w)
     elif shaped == "unflagged":  # the unflagged components' runs, back to back
@@ -261,32 +262,23 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
         kept_bounds = np.concatenate(([0], np.cumsum(bounds[kept + 1] - bounds[kept])))
         mask = ~clash[comp]
         got = _shapes(cells[mask], states[mask], kept_bounds, h, w)
-        shapes, anchors = [None] * count, [None] * count
         for k, shape, anchor in zip(kept.tolist(), *got):
             shapes[k], anchors[k] = shape, anchor
-    # the flagged and the unflagged components of every frame, once per block, counted
-    # from each frame's first (a component's root cell holds that count in ``own``)
-    local = own[is_root]
-    flagged, unflagged = local[clash].tolist(), local[~clash].tolist()
-    cuts = np.searchsorted(np.flatnonzero(clash), first)  # flagged components before each frame
-    fcuts, ucuts = cuts.tolist(), (first - cuts).tolist()
     frames = [_Frame() for _ in range(nf)]
     for t, (frame, c0, c1) in enumerate(zip(frames, first.tolist(), first[1:].tolist())):
         lo, hi, view = bounds[c0], bounds[c1], slice(t * size, (t + 1) * size)
-        frame.flagged = flagged[fcuts[t] : fcuts[t + 1]]
-        frame.unflagged = unflagged[ucuts[t] : ucuts[t + 1]]
         frame.cells, frame.states = cells[lo:hi], states[lo:hi]
         frame.bounds = bounds[c0 : c1 + 1] - lo
         frame.labels, frame.reach = labels[view], reach[view]
         frame.shapes, frame.anchors = shapes[c0:c1], anchors[c0:c1]
-        frame.clash, frame.linked = clash[c0:c1], {}
+        frame.clash = clash[c0:c1]
     return frames
 
 
 def _frames(tr: Trajectory, shaped: str):
-    """Yield ``(first, frame, again)`` for each frame of ``tr``: ``first`` is the index
-    of the first frame with the same grid, ``frame`` its ``_Frame`` (shapes as
-    ``_scan``'s ``shaped`` says), and ``again`` whether the grid recurs later.
+    """Yield ``(first, frame)`` for each frame of ``tr``: ``first`` is the index of
+    the first frame with the same grid, and ``frame`` its ``_Frame`` (shapes as
+    ``_scan``'s ``shaped`` says).
 
     Only first occurrences are scanned, in blocks of up to ``_BLOCK_CELLS`` non-S
     cells or of one frame; a repeated grid gets the ``_Frame`` of its first
@@ -302,10 +294,9 @@ def _frames(tr: Trajectory, shaped: str):
     kept: dict[int, _Frame] = {}
     for t, first in enumerate(ids):
         frame = next(scanned) if first == t else kept.pop(first)
-        again = last[first] > t
-        if again:
+        if last[first] > t:
             kept[first] = frame
-        yield first, frame, again
+        yield first, frame
 
 
 def _scanned(stack: np.ndarray, shaped: str):
@@ -556,7 +547,10 @@ class _Track:
         self.table = table
 
     def extend(self, frame: _Frame, k: int, delta: tuple[int, int]) -> None:
-        """Continue on component ``k`` of the next frame, stepping the anchor by ``delta``."""
+        """Continue on component ``k`` of the next frame, stepping the anchor by ``delta``.
+
+        ``_ends`` calls this only over a clean link, so component ``k`` has a shape.
+        """
         self.places.append((frame, k))
         dr, dq = delta
         ar, aq = self.loc.anchors[-1]
@@ -614,19 +608,24 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
     first ``next``, and so does ``_scan``'s grid check.
 
     A track continues where its component has one successor that no other
-    component claims: a clean link.  ``live`` holds every unflagged component
-    of the previous frame: its ``_Track``, or None for a fresh component (one
-    no track reached).  Tracks past their first frame come first, in the
-    order they began, then fresh components by index.  One loop per frame
-    visits them in that order, and each either extends over its clean link (a
-    fresh component builds its ``_Track`` first) or ends on the earlier
-    frame.  On the full path every end is yielded: per frame, the ends of
-    that loop, then the tracks proximity ends on the later frame, by
-    component; after the last frame, every entry of ``live``.  On the mobile
-    path (``"unflagged"``) a link to a flagged component is not clean, so no
-    ``_Track`` steps onto a component without a shape, and only the ends
-    that can be mobile are yielded: tracks past their first frame that end
-    with reason None.
+    component claims and that has an anchor: a clean link.  On the full path
+    every component has an anchor; on the mobile path (``"unflagged"``) the
+    flagged ones have none, so no ``_Track`` steps onto a component without a
+    shape.  ``steps`` keeps what ``_links`` gave for each pair of consecutive
+    grids, keyed by their first-occurrence ids, so a repeated pair links once.
+
+    ``live`` holds every unflagged component of the previous frame: its
+    ``_Track``, or None for a fresh component (one no track reached).  Tracks
+    past their first frame come first, in the order they began, then fresh
+    components by index.  One loop per frame visits them in that order, and
+    each either extends over its clean link (a fresh component builds its
+    ``_Track`` first) or ends on the earlier frame.  A second loop visits the
+    later frame's components in ascending order: an unflagged one joins
+    ``live``, and a flagged one ends its track by proximity.  On the full
+    path every end is yielded: per frame, the ends of the first loop, then
+    the proximity ends of the second; after the last frame, every entry of
+    ``live``.  On the mobile path only the ends that can be mobile are
+    yielded: tracks past their first frame that end with reason None.
     """
     h, w = tr.frames[0].shape
     if p_max < 1:
@@ -635,26 +634,25 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
     table = neighbor_table(h, w)
     every = shaped != "unflagged"  # the full path yields every end
     live: dict[int, _Track | None] = {}  # every unflagged component of prev: its track, or None
+    steps: dict[tuple[int, int], tuple] = {}  # link steps, by the pair of first-occurrence ids
     prev = prev_id = None
-    for t, (frame_id, frame, again) in enumerate(_frames(tr, shaped), start=tr.t0):
+    for t, (frame_id, frame) in enumerate(_frames(tr, shaped), start=tr.t0):
         nxt: dict[int, _Track | None] = {}
         if live:
-            step = frame.linked.get(prev_id)
+            step = steps.get((prev_id, frame_id))
             if step is None:
                 nsucc, succ, nclaim = _links(prev, frame)
                 clean = nsucc == 1
-                ok = nclaim == 1 if every else (nclaim == 1) & ~frame.clash
-                clean[clean] = ok[succ[clean]]
-                # the anchor step of every clean link; a flagged component reaches
-                # nothing, so it is never clean
+                clean[clean] = nclaim[succ[clean]] == 1
+                # the anchor step of every clean link: one onto a component with an anchor
+                # (a flagged component reaches nothing, so no clean link leaves one)
                 to = succ.tolist()
                 deltas = {
                     k: _axial_delta(prev.anchors[k], frame.anchors[to[k]], h, w)
                     for k in np.flatnonzero(clean).tolist()
+                    if frame.anchors[to[k]] is not None
                 }
-                step = nsucc.tolist(), to, deltas
-                if again:  # the pair of grids can recur only if this one does
-                    frame.linked[prev_id] = step
+                step = steps[prev_id, frame_id] = nsucc.tolist(), to, deltas
             counts, to, deltas = step
             for k, trk in live.items():
                 if k in deltas:
@@ -665,11 +663,11 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
                 elif every or trk is not None and not counts[k]:
                     yield trk, t - 1, prev, k, _reason(counts[k])
 
-        if every:
-            for k in frame.flagged:
+        for k, flagged in enumerate(frame.clash.tolist()):
+            if not flagged:
+                nxt.setdefault(k, None)
+            elif every:
                 yield nxt.pop(k, None), t, frame, k, "proximity"
-        for k in frame.unflagged:
-            nxt.setdefault(k, None)
         live = nxt
         prev, prev_id = frame, frame_id
 

@@ -154,9 +154,6 @@ class Grid:
             np.array_equal(self.cells, other.cells)
         )
 
-    def __hash__(self):
-        return hash((self.cells.shape, self.cells.tobytes()))
-
     def __getitem__(self, rc) -> int:
         return int(self.cells[rc])
 

@@ -79,6 +79,13 @@ def test_likelihood_csv_requires_full_cover():
         an.LikelihoodMatrices.from_csv(text)
 
 
+def test_likelihood_csv_skips_blank_lines():
+    m = an.reference_likelihoods()
+    again = an.LikelihoodMatrices.from_csv(m.to_csv().replace("\n", "\n\n"))
+    for a, b in zip((m.fs, m.fa, m.fb, m.fhash), (again.fs, again.fa, again.fb, again.fhash)):
+        assert np.array_equal(a, b)
+
+
 def _with_line(text, n, row):
     """``text`` with its line ``n`` (1-based) set to ``row``, or dropped for None."""
     lines = text.splitlines()
@@ -93,8 +100,12 @@ def _with_line(text, n, row):
         (6, "0,4,0.34", "line 6: expected 6 fields, found 3"),
         (38, "0,2,0.46,0.14,0.16,0.24", "line 38: pair (0, 2) repeats line 4"),
         (3, "0,1,x,0,0,1", "line 3: likelihoods must be numbers"),
+        (3, "0,1,nan,0,0,1", "line 3: likelihood nan is outside [0, 1]"),
+        (9, "0,7,-3,0.0,7,-3", "line 9: likelihood -3.0 is outside [0, 1]"),
+        (9, "0,7,0.06,0.0,0.0,0.93", "line 9: likelihoods sum to 0.99, not 1"),
     ],
-    ids=["unknown-pair", "three-fields", "repeated-pair", "not-a-number"],
+    ids=["unknown-pair", "three-fields", "repeated-pair", "not-a-number", "nan", "out-of-range",
+         "bad-sum"],
 )
 def test_likelihood_csv_names_the_bad_line(n, row, message):
     text = _with_line(an.reference_likelihoods().to_csv(), n, row)
@@ -263,6 +274,16 @@ def test_reduced_set_validation():
         an.ReducedRuleSet({(1, 1): {3}})
 
 
+def test_reduced_set_rejects_an_empty_allowed_set():
+    with pytest.raises(ValueError, match=re.escape("empty allowed set at (1, 2)")):
+        an.ReducedRuleSet({(1, 2): ()})
+
+
+def test_nontrivial_lists_the_entries_that_allow_more_than_s():
+    r = an.ReducedRuleSet({(1, 1): {0, 1}, (2, 0): {2}, (0, 3): {0}})
+    assert r.nontrivial() == {(1, 1): frozenset({0, 1}), (2, 0): frozenset({2})}
+
+
 @pytest.mark.parametrize("key", [(9, 9), (4, 4), (-1, 1), "1,1"])
 def test_reduced_set_rejects_keys_off_the_pair_table(key):
     # such a key was once dropped in silence: {(9, 9): {1}} made the all-S class
@@ -360,6 +381,12 @@ def lone_glider_run():
     traj = run(seed, rule, 30)
     locs = track(traj, p_max=12)
     return rule, traj, locs
+
+
+def test_bundled_glider_rule_needs_exactly_one_rule(monkeypatch):
+    monkeypatch.setattr(an, "_fixture_text", lambda name: "S" * 36 + "\n" + "S" * 36 + "\n")
+    with pytest.raises(ValueError, match="glider_rule.txt must hold exactly one rule"):
+        an.bundled_glider_rule()
 
 
 def test_bundled_seed_travels_as_clean_glider():
@@ -530,6 +557,12 @@ def test_corpus_likelihoods_skips_gliderless_rules():
     assert m.get("#", 0, 0) == 0.0
     total = m.fs + m.fa + m.fb + m.fhash
     assert np.allclose(total, 1.0)
+
+
+def test_corpus_likelihoods_rejects_a_corpus_with_no_glider():
+    cfg = FitnessConfig(width=16, height=16, patch_width=8, patch_height=8, steps=10, window=8)
+    with pytest.raises(ValueError, match="no rule in the corpus produced a verifiable glider"):
+        an.corpus_likelihoods([RuleMatrix.from_entries({})], cfg, np.random.default_rng(0))
 
 
 # -- sweep ------------------------------------------------------------------------

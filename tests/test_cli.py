@@ -175,6 +175,24 @@ def test_likelihood_hunts_each_glider_over_trials_soups(monkeypatch, tmp_path):
     assert meta["skipped"] == [dead]
 
 
+def test_likelihood_rejects_an_empty_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# no rules yet\n")
+    out = tmp_path / "F.csv"
+    rc = main(["likelihood", "--corpus", str(corpus), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"hexreact: {corpus}: no rules found\n"
+    assert not out.exists()
+
+
+def test_reduce_without_a_diff_writes_only_the_set(tmp_path, capsys):
+    out = tmp_path / "R.csv"
+    assert main(["reduce", "--likelihoods", "reference", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"reduced set (1296 rules) written to {out}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["R.csv", "R.csv.meta.json"]
+    assert "diff_entries" not in read_meta(out)
+
+
 def test_reduce_against_reference(tmp_path):
     out = tmp_path / "R.csv"
     rc = main(["reduce", "--likelihoods", "reference", "--out", str(out),
@@ -198,6 +216,28 @@ def test_reduce_rejects_a_likelihood_row_off_the_pair_table(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("hexreact: line 6: 9,9 is not an (i, j) pair")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,7,-3,0.0,7,-3", "line 9: likelihood -3.0 is outside [0, 1]"),
+        ("0,7,nan,0.0,0.0,0.94", "line 9: likelihood nan is outside [0, 1]"),
+        ("0,7,0.06,0.0,0.0,0.93", "line 9: likelihoods sum to 0.99, not 1"),
+    ],
+    ids=["out-of-range", "nan", "bad-sum"],
+)
+def test_reduce_rejects_likelihoods_that_are_not_a_distribution(tmp_path, capsys, row, message):
+    lines = analysis.reference_likelihoods().to_csv().splitlines()
+    lines[8] = row
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "R.csv"
+    rc = main(["reduce", "--likelihoods", str(bad), "--out", str(out),
+               "--diff-against", "reference"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"hexreact: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
 
 def test_reduce_rejects_a_nan_eps(tmp_path, capsys):
@@ -237,7 +277,7 @@ def test_react_deterministic_output(tmp_path):
 @pytest.mark.parametrize(
     "flags",
     [["--omega", "nan"], ["--omega", "inf"], ["--tmax", "inf"],
-     ["--sample-dt", "nan"], ["--max-events", "-3"]],
+     ["--sample-dt", "nan"], ["--max-events", "-3"], ["--ensemble", "0"]],
 )
 def test_react_rejects_non_finite_and_negative_flags(tmp_path, capsys, flags):
     out = tmp_path / "r.csv"

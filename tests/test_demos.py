@@ -1,10 +1,10 @@
 """The demos run to the end with warnings as errors.
 
-Demo 03 is a long EA search (over 15 s), so it is only compiled.
+Demo 03 is an EA search that takes over 15 s at its defaults, so it runs one
+generation of four genomes.
 """
 
 import os
-import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +13,7 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 SRC = DEMOS.parent / "src"
+ARGS = {"03_evolve_rules.py": ["--generations", "1", "--population", "4", "--out", "best.txt"]}
 
 
 @pytest.mark.parametrize(
@@ -20,6 +21,7 @@ SRC = DEMOS.parent / "src"
     [
         "01_first_steps.py",
         "02_glider_safari.py",
+        "03_evolve_rules.py",
         "04_likelihoods_to_reduction.py",
         "05_stirred_reactor.py",
     ],
@@ -27,7 +29,7 @@ SRC = DEMOS.parent / "src"
 def test_demo_runs(name, tmp_path):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", str(DEMOS / name)],
+        [sys.executable, "-W", "error", str(DEMOS / name), *ARGS.get(name, [])],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
@@ -36,8 +38,3 @@ def test_demo_runs(name, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
 
-
-def test_long_demo_compiles(tmp_path):
-    py_compile.compile(
-        str(DEMOS / "03_evolve_rules.py"), cfile=str(tmp_path / "demo.pyc"), doraise=True
-    )

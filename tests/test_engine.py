@@ -143,6 +143,14 @@ def test_run_zero_steps_returns_just_the_start():
     assert tr.t0 == 0
 
 
+def test_run_rejects_negative_steps_and_an_empty_window():
+    g, rule = Grid.filled(4, 4), RuleMatrix.from_genome("S" * 36)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        run(g, rule, -1)
+    with pytest.raises(ValueError, match="keep_last must keep at least one frame"):
+        run(g, rule, 3, keep_last=0)
+
+
 def test_run_returns_all_frames_by_default():
     rng = np.random.default_rng(31)
     g = random_grid(rng, 6, 6)

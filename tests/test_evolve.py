@@ -185,3 +185,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
             EAConfig(**{name: value})
     EAConfig(population=np.int64(4), max_generations=None)  # numpy integers are integers
+
+
+def test_config_rejects_a_zero_generation_cap():
+    with pytest.raises(ValueError, match="max_generations must be positive when set"):
+        EAConfig(max_generations=0)

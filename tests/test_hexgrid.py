@@ -169,6 +169,14 @@ def test_setitem_checks_the_state_like_the_constructor():
     assert g[0, 1] == CellState.B
 
 
+def test_grid_is_unhashable_and_compares_only_to_grids():
+    # a hash of mutable cells goes stale when a cell is set
+    with pytest.raises(TypeError):
+        hash(Grid.filled(4, 4))
+    assert Grid.filled(4, 4) != "Grid(4x4)"  # another type is never equal
+    assert repr(Grid.filled(4, 6)) == "Grid(4x6)"
+
+
 def test_text_round_trip_is_exact():
     rng = np.random.default_rng(3)
     g = random_grid(rng, 7, 4)

@@ -64,6 +64,10 @@ def test_parse_and_format_round_trip():
     ]
 
 
+def test_format_writes_an_empty_side_as_zero():
+    assert rc.format_reaction(rc.Reaction({"A": 1}, {}, 0.5)) == "A -> 0 @ 0.5"
+
+
 def test_parse_reaction_forms():
     rx = rc.parse_reaction("2A + B -> A + 2B @ 0.05")
     assert rx.reactants == {"A": 2, "B": 1}
@@ -572,3 +576,9 @@ def test_feature_count_flat_and_linear_are_zero():
 def test_feature_count_validation():
     with pytest.raises(ValueError):
         rc.count_oscillation_features(np.zeros(50), detrend=4)
+
+
+def test_feature_count_of_a_series_shorter_than_the_detrend_width_is_zero():
+    pulses = [1.0, 3.0, 1.0, 3.0, 1.0]
+    assert rc.count_oscillation_features(pulses) == 2
+    assert rc.count_oscillation_features(pulses, detrend=7) == 0

@@ -9,6 +9,7 @@ from hexreact.rules import (
     PAIR_INDEX,
     PAIRS,
     RuleMatrix,
+    load_rule,
     load_rules,
     parse_rules,
     random_rule,
@@ -87,8 +88,9 @@ def test_quiescence_is_pinned():
         (np.array([0] * 35 + [2.9]), "rule entries must be integers, got dtype float64"),
         (np.array([0] * 35 + [258]), r"rule entries must be 0 \(S\), 1 \(A\) or 2 \(B\)"),
         ([0] * 35 + [-1], r"rule entries must be 0 \(S\), 1 \(A\) or 2 \(B\)"),
+        ([0] * 35, "rule needs exactly 36 entries"),
     ],
-    ids=["float-list", "float-array", "258", "negative"],
+    ids=["float-list", "float-array", "258", "negative", "35-entries"],
 )
 def test_rule_entries_are_checked_before_the_uint8_cast(entries, message):
     with pytest.raises(ValueError, match=message):
@@ -152,3 +154,17 @@ def test_rule_file_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# demo corpus\n# second header line\n")
     assert parse_rules(text) == rules
+
+
+def test_load_rule_rejects_a_file_of_two_rules(tmp_path):
+    path = tmp_path / "two.txt"
+    save_rules(path, [RuleMatrix.from_genome("S" * 36), RuleMatrix.from_genome(DENSE_GENOME)])
+    with pytest.raises(ValueError, match="expected exactly one rule, found 2"):
+        load_rule(path)
+
+
+def test_rules_compare_and_key_by_genome():
+    a, b = RuleMatrix.from_genome(DENSE_GENOME), RuleMatrix.from_genome(DENSE_GENOME)
+    assert len({a: 1, b: 2}) == 1  # the genome is read-only, so the hash holds
+    assert a != DENSE_GENOME  # another type is never equal
+    assert repr(a) == f"RuleMatrix({DENSE_GENOME!r})"

@@ -226,20 +226,17 @@ def test_settled_windows_scan_link_and_check_proximity_once_per_repeat(name, mon
     assert tuple(calls.values()) == SETTLED_CALLS[name]
 
 
-@pytest.mark.parametrize("name", ["bundled-soup", *sorted(SETTLED_CALLS)])
-def test_links_are_kept_only_on_frames_whose_grid_recurs(name, monkeypatch):
-    frames, seen = detector._frames, {}
-
-    def spy(*args):
-        for first, frame, again in frames(*args):
-            seen[first] = (frame, again or seen.get(first, (None, False))[1])
-            yield first, frame, again
-
-    monkeypatch.setattr(detector, "_frames", spy)
-    assert localizations_digest(track(CASES[name]())) == GOLDEN[name]
-    assert all(recurs or not frame.linked for frame, recurs in seen.values())
-    # the window of a soup that does not settle repeats no grid, so keeps no links
-    assert any(frame.linked for frame, _ in seen.values()) == (name != "bundled-soup")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_proximity_ends_one_track_per_flagged_component(name):
+    tr = CASES[name]()
+    flagged = Counter({
+        t: int(detector._scan(grid.cells[None])[0].clash.sum())
+        for t, grid in enumerate(tr.frames, start=tr.t0)
+    })
+    ends = Counter(
+        loc.first_frame + loc.frames - 1 for loc in track(tr) if loc.terminated == "proximity"
+    )
+    assert ends == flagged  # a Counter reads a missing key as zero
 
 
 def _live_frames():
@@ -260,6 +257,11 @@ def test_frames_keep_a_scanned_frame_only_while_its_grid_recurs(name, most, monk
 # -- the block pass ------------------------------------------------------------
 
 FRAME_FIELDS = ("cells", "states", "bounds", "labels", "reach", "shapes", "anchors", "clash")
+
+
+def test_a_frame_holds_only_what_the_block_pass_computes():
+    # every field a frame carries is one the block-pass property compares
+    assert detector._Frame.__slots__ == FRAME_FIELDS
 
 
 @st.composite
