@@ -170,23 +170,28 @@ def compute_likelihoods(corpus) -> LikelihoodMatrices:
 
 
 def necessary_transitions(glider: Localization, tr: Trajectory) -> set[tuple[int, int]]:
-    """Signatures a lone glider exercises over one full period.
+    """Signatures a lone glider exercises over its own first full period.
 
     ``tr`` must hold the glider travelling alone through substrate for at
-    least ``glider.period`` frames.  Every cell of each of the first
-    ``period`` frames contributes its (i, j) neighbourhood signature; the
-    far field guarantees (0, 0).  Frames where the pattern touches the torus
-    wrap seam are rejected: displacement bookkeeping there is ambiguous.
+    least ``glider.period`` frames from ``glider.first_frame`` (an absolute
+    time, read against ``tr.t0``), not from the trajectory's first frame.
+    Every cell of each of those ``period`` frames contributes its (i, j)
+    neighbourhood signature; the far field guarantees (0, 0).  Frames where
+    the pattern touches the torus wrap seam are rejected: displacement
+    bookkeeping there is ambiguous.  Errors name frames by absolute time.
     """
     if glider.period is None:
         raise ValueError("localization has no established period")
     frames = tr.frames
-    if len(frames) < glider.period:
-        raise ValueError("trajectory shorter than one period")
+    start = glider.first_frame - tr.t0
+    if start < 0:
+        raise ValueError(f"glider starts at t={glider.first_frame}, before t0={tr.t0}")
+    if len(frames) - start < glider.period:
+        raise ValueError(f"trajectory holds under one period from t={glider.first_frame}")
     h, w = frames[0].shape
     seen: set[tuple[int, int]] = {(0, 0)}
-    for t in range(glider.period):
-        grid = frames[t]
+    for t in range(glider.first_frame, glider.first_frame + glider.period):
+        grid = frames[t - tr.t0]
         comps = extract_components(grid)
         if len(comps) != 1:
             raise ValueError(f"frame {t}: expected the glider alone, found {len(comps)} components")

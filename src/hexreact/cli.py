@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 from collections import Counter
 from dataclasses import asdict, fields
@@ -252,11 +253,11 @@ def cmd_census(args) -> int:
     cfg = _fitness_config(args)
     rows = analysis.class_census(reduced, cfg)
     defaults = asdict(FitnessConfig(**analysis.CLASS_SWEEP_PROTOCOL))
-    flags = [f"--reduced {args.reduced}"] + [
-        f"--{name.replace('_', '-')} {getattr(args, name)}"
+    flags = [f"--reduced {shlex.quote(args.reduced)}"] + [
+        f"--{name.replace('_', '-')} {shlex.quote(str(getattr(args, name)))}"
         for name in _FITNESS_FLAGS
         if getattr(args, name) != defaults[name]
-    ] + [f"--out {args.out}"]
+    ] + [f"--out {shlex.quote(args.out)}"]
     command = "PYTHONPATH=src python -m hexreact.cli census " + " ".join(flags)
     _write(args.out, analysis.census_to_csv(rows, cfg, command))
     _write_meta(args.out, args, mobile_rules=len(rows))

@@ -29,8 +29,9 @@ one, ``mobile_localizations`` only those not flagged for proximity (a flagged
 component's track ends on that frame, and the mobile path skips it), and
 ``extract_components`` none.  ``track`` links frame to frame with one gather
 of the earlier frame's ``reach`` at the later frame's cells.  Every unflagged
-component waits one frame as a candidate; one that ends there gets its
-Localization without a ``_Track``.
+component waits one frame as a candidate, and only one that links onward
+builds a ``_Track``; one that ends there is finished straight into its
+Localization.
 ``extract_components`` is the pass over a one-frame block, cut into its
 components, and ``canonical_shape`` runs ``_shapes`` on one component.
 
@@ -45,21 +46,25 @@ first-occurrence ids, and a repeated pair of grids reuses it.  A step holds
 lists and anchor steps, no frame, so it keeps no frame alive.
 
 A ``_Frame`` holds only what the block pass computes; ``_ends`` owns the
-window's state.  It visits a frame's candidates in one loop, where each
-extends over its clean link or ends, then the frame's components in one loop
-in ascending order, where an unflagged one becomes a candidate and a flagged
-one ends its track by proximity.  A link is clean only onto a component that
-has an anchor, which on the mobile path leaves out exactly the flagged ones.
-It yields each track as it ends; for ``track`` it yields every
-one, and for ``mobile_localizations`` only those that can be mobile.  The rest
-are Unresolved whatever their shapes: a track that lived one frame has no
-period, since ``classify`` needs 2p >= 2 frames, and one ended by a merge,
-split or proximity is Unresolved by definition.  In soups that do not settle
-nearly every track is skipped, most as a first-frame proximity kill.
-Filtering a stable sort keeps its order, so ``mobile_localizations`` returns
-``track``'s mobile tracks in ``track``'s order.  The skipped tracks include
-every one that ends by proximity, so on the mobile path no track steps onto
-a flagged component, nothing reads its shape, and its scan computes none.
+window's state, the grid's ``neighbor_table`` among it.  It visits a frame's
+candidates in one loop, where each extends over its clean link or ends, then
+the frame's components in one loop in ascending order, where an unflagged one
+becomes a candidate and a flagged one ends its track by proximity.  A link is
+clean only onto a component that has an anchor, which on the mobile path
+leaves out exactly the flagged ones.  It hands back each track as it ends,
+finished and classified: its trail measured over the table, its last cells,
+states and reason set.  For ``track`` it yields every track, and ``track``
+sorts them by first frame; for ``mobile_localizations`` it yields only those
+that can be mobile.  The rest are Unresolved whatever their shapes: a track
+that lived one frame has no period, since ``classify`` needs 2p >= 2 frames,
+and one ended by a merge, split or proximity is Unresolved by definition.  In
+soups that do not settle nearly every track is skipped, most as a first-frame
+proximity kill.  The mobile path yields its ends in the full path's
+relative order, and a stable sort keeps that order among equal first frames,
+so ``mobile_localizations`` returns ``track``'s mobile tracks in ``track``'s
+order.  The skipped tracks include every one that ends by proximity, so on
+the mobile path no track steps onto a flagged component, nothing reads its
+shape, and its scan computes none.
 
 Tracking requires an even grid height: the torus seam on an odd-height grid
 breaks neighbour symmetry (see hexgrid), and anchor displacement arithmetic
@@ -536,15 +541,13 @@ def classify(loc: Localization) -> str:
 
 
 class _Track:
-    """A Localization being built, its (frame, component) places on consecutive frames,
-    and the grid's ``neighbor_table``."""
+    """A Localization being built and its (frame, component) places on consecutive frames."""
 
-    __slots__ = ("loc", "places", "table")
+    __slots__ = ("loc", "places")
 
-    def __init__(self, first_frame: int, p_max: int, frame: _Frame, k: int, table: np.ndarray):
+    def __init__(self, first_frame: int, p_max: int, frame: _Frame, k: int):
         self.loc = Localization(first_frame, [frame.shapes[k]], [(0, 0)], p_max=p_max)
         self.places = [(frame, k)]
-        self.table = table
 
     def extend(self, frame: _Frame, k: int, delta: tuple[int, int]) -> None:
         """Continue on component ``k`` of the next frame, stepping the anchor by ``delta``.
@@ -557,21 +560,23 @@ class _Track:
         self.loc.shapes.append(frame.shapes[k])
         self.loc.anchors.append((ar + dr, aq + dq))
 
-    def _measure_trail(self) -> None:
+    def _measure_trail(self, table: np.ndarray) -> None:
         """Persistent non-S debris inside the corridor this track swept.
 
         The corridor is the dilation of every earlier position of the
-        component, taken in one gather over the cells of the distinct earlier
-        places (a settled window revisits one frame's component again and
-        again).  Debris must be present (somewhere in the corridor, away
-        from the current head) in each of the last two frames; shapes that
-        merely flicker during the head's passage do not count.
+        component, taken in one gather of ``table`` (the grid's
+        ``neighbor_table``, which ``_ends`` holds for the window) over the
+        cells of the distinct earlier places (a settled window revisits one
+        frame's component again and again).  Debris must be present
+        (somewhere in the corridor, away from the current head) in each of
+        the last two frames; shapes that merely flicker during the head's
+        passage do not count.
         """
         if len(self.places) < 3:
             return
         swept = np.zeros(len(self.places[0][0].labels), dtype=bool)
         runs = [f.cells[f.bounds[k] : f.bounds[k + 1]] for f, k in dict.fromkeys(self.places[:-1])]
-        swept[self.table[np.concatenate(runs)]] = True
+        swept[table[np.concatenate(runs)]] = True
         # the only non-S cells inside the head's dilation are the head's own
         hits = [swept[f.cells] & (f.labels[f.cells] != k) for f, k in self.places[-2:]]
         if hits[0].any() and hits[1].any():
@@ -579,32 +584,15 @@ class _Track:
             self.loc.trail_size = int(hits[1].sum())
 
 
-def _finish(trk: _Track | None, t: int, frame: _Frame, k: int, reason, p_max: int) -> Localization:
-    """End the track last on component ``k`` of ``frame``: ``trk``, or when that is None,
-    a track that lives on ``frame`` (time ``t``) alone."""
-    if trk is None:
-        loc = Localization(t, [frame.shapes[k]], [(0, 0)], p_max=p_max)
-    else:
-        trk._measure_trail()
-        loc = trk.loc
-    lo, hi = frame.bounds[k], frame.bounds[k + 1]
-    loc.cells_last, loc.states_last = frame.cells[lo:hi], frame.states[lo:hi]
-    loc.terminated = reason
-    return loc
-
-
-def _reason(n: int):
-    """Why a track whose component has ``n`` successors ends there."""
-    return None if n == 0 else "merge" if n == 1 else "split"
-
-
 def _ends(tr: Trajectory, p_max: int, shaped: str):
-    """Yield ``(trk, t, frame, k, reason)`` as each track of ``tr`` ends, in discovery order.
+    """Yield each track of ``tr`` as it ends, finished and classified, in discovery order.
 
-    The track ends on component ``k`` of ``frame`` (time ``t``); ``trk`` is its
-    ``_Track``, or None for a track that lived on that frame alone, and
-    ``reason`` is ``"merge"``, ``"split"``, ``"proximity"`` or None.  Frames
-    are scanned with ``_scan``'s ``shaped``.  The ``p_max`` check runs on the
+    A track ends on component ``k`` of a frame with reason ``"merge"``,
+    ``"split"``, ``"proximity"`` or None; the local ``end`` takes its
+    ``_Track`` (or builds the Localization of a track that lived on that frame
+    alone), measures its trail over the window's ``neighbor_table``, sets its
+    last cells and states and its reason, and classifies it.  Frames are
+    scanned with ``_scan``'s ``shaped``.  The ``p_max`` check runs on the
     first ``next``, and so does ``_scan``'s grid check.
 
     A track continues where its component has one successor that no other
@@ -632,6 +620,19 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
         raise ValueError("p_max must be >= 1")
 
     table = neighbor_table(h, w)
+
+    def end(trk: _Track | None, t: int, frame: _Frame, k: int, reason) -> Localization:
+        if trk is None:
+            loc = Localization(t, [frame.shapes[k]], [(0, 0)], p_max=p_max)
+        else:
+            trk._measure_trail(table)
+            loc = trk.loc
+        lo, hi = frame.bounds[k], frame.bounds[k + 1]
+        loc.cells_last, loc.states_last = frame.cells[lo:hi], frame.states[lo:hi]
+        loc.terminated = reason
+        classify(loc)
+        return loc
+
     every = shaped != "unflagged"  # the full path yields every end
     live: dict[int, _Track | None] = {}  # every unflagged component of prev: its track, or None
     steps: dict[tuple[int, int], tuple] = {}  # link steps, by the pair of first-occurrence ids
@@ -657,23 +658,24 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
             for k, trk in live.items():
                 if k in deltas:
                     if trk is None:
-                        trk = _Track(t - 1, p_max, prev, k, table)
+                        trk = _Track(t - 1, p_max, prev, k)
                     trk.extend(frame, to[k], deltas[k])
                     nxt[to[k]] = trk
                 elif every or trk is not None and not counts[k]:
-                    yield trk, t - 1, prev, k, _reason(counts[k])
+                    # no successor: None; one that another also claims: merge; more: split
+                    yield end(trk, t - 1, prev, k, (None, "merge", "split")[min(counts[k], 2)])
 
         for k, flagged in enumerate(frame.clash.tolist()):
             if not flagged:
                 nxt.setdefault(k, None)
             elif every:
-                yield nxt.pop(k, None), t, frame, k, "proximity"
+                yield end(nxt.pop(k, None), t, frame, k, "proximity")
         live = nxt
         prev, prev_id = frame, frame_id
 
     for k, trk in live.items():
         if every or trk is not None:
-            yield trk, t, prev, k, None
+            yield end(trk, t, prev, k, None)
 
 
 def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
@@ -690,14 +692,12 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
     one frame end in component order (ascending smallest cell), so the
     returned order depends on the grids alone.
 
-    Returns one classified Localization per track; ``first_frame`` counts
-    from ``tr.t0``, so a run trimmed by ``keep_last`` keeps its times.
+    Returns one classified Localization per track, as ``_ends`` yields them,
+    in a stable sort by ``first_frame`` (frame order, then discovery order);
+    ``first_frame`` counts from ``tr.t0``, so a run trimmed by ``keep_last``
+    keeps its times.
     """
-    done = [_finish(*end, p_max) for end in _ends(tr, p_max, "all")]
-    done.sort(key=lambda l: l.first_frame)  # stable: frame order, then discovery order
-    for loc in done:
-        classify(loc)
-    return done
+    return sorted(_ends(tr, p_max, "all"), key=lambda loc: loc.first_frame)
 
 
 def _links(prev: _Frame, frame: _Frame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -819,11 +819,12 @@ def _mobile_tracks(tr: Trajectory, p_max: int) -> list[Localization]:
 
     The frames are scanned shaping only the components not flagged ``clash``:
     a flagged component's track ends there by proximity and is skipped, and
-    ``_ends`` yields only the ends of tracks that can be mobile.
+    ``_ends`` yields, classified, only the tracks that can be mobile, in the
+    full path's relative order.  The mobile ones are sorted by
+    ``first_frame`` with the same stable sort as in ``track``.
     """
-    locs = [_finish(*end, p_max) for end in _ends(tr, p_max, "unflagged")]
-    locs.sort(key=lambda l: l.first_frame)  # stable, as in track
-    return [loc for loc in locs if classify(loc) in MOBILE_CLASSES]
+    mobile = (loc for loc in _ends(tr, p_max, "unflagged") if loc.loc_class in MOBILE_CLASSES)
+    return sorted(mobile, key=lambda loc: loc.first_frame)
 
 
 def fitness(rule: RuleMatrix, cfg: FitnessConfig, rng: np.random.Generator) -> float:

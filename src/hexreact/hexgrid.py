@@ -79,6 +79,8 @@ class Grid:
     """
 
     __slots__ = ("cells",)
+    # numpy defers to ``__eq__``, so a Grid is never equal to an array
+    __array_ufunc__ = None
 
     def __init__(self, cells: np.ndarray):
         cells = np.asarray(cells)

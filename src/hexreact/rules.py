@@ -39,6 +39,8 @@ class RuleMatrix:
     """
 
     __slots__ = ("genome", "table")
+    # numpy defers to ``__eq__``, so a RuleMatrix is never equal to an array
+    __array_ufunc__ = None
 
     def __init__(self, entries):
         """Build from a length-36 sequence of states in canonical order."""

@@ -478,6 +478,43 @@ def test_flipping_necessary_entries_disturbs_the_glider():
         ), pair
 
 
+def _glider_after_a_blob():
+    # frame 0 holds a B blob far from the glider, frames 1-13 the lone glider run
+    glider = run(an.bundled_glider_seed(), an.bundled_glider_rule(), 12).frames
+    blob = Grid.filled(*glider[0].shape)
+    for cell in [(4, 4), (4, 5), (5, 4)]:
+        blob[cell] = 2
+    return [blob, *glider]
+
+
+def test_necessary_transitions_reads_the_gliders_own_frames():
+    frames = _glider_after_a_blob()
+    alone = Trajectory(frames[1:])
+    lone = an.necessary_transitions(track(alone)[0], alone)
+    traj = Trajectory(frames)
+    locs = track(traj)
+    assert [(loc.loc_class, loc.first_frame) for loc in locs] == [("Unresolved", 0), (GLIDER, 1)]
+    assert an.necessary_transitions(locs[1], traj) == lone
+    # the same glider in a window that starts at its first frame
+    later = Trajectory(frames[1:], t0=1)
+    assert an.necessary_transitions(track(later)[0], later) == lone
+
+
+def test_necessary_transitions_rejects_a_window_without_the_gliders_period():
+    frames = _glider_after_a_blob()
+    glider = track(Trajectory(frames))[1]
+    with pytest.raises(ValueError, match="before t0=2"):
+        an.necessary_transitions(glider, Trajectory(frames[2:], t0=2))
+    with pytest.raises(ValueError, match="under one period from t=1"):
+        an.necessary_transitions(glider, Trajectory(frames[: glider.period]))
+    # the per-frame errors name the absolute time: index 1 of a window from t0=1
+    later = frames[1:]
+    later[1] = later[1].copy()
+    later[1][4, 4] = 2
+    with pytest.raises(ValueError, match="frame 2: expected the glider alone, found 2"):
+        an.necessary_transitions(glider, Trajectory(later, t0=1))
+
+
 def test_necessary_transitions_rejects_short_trajectory():
     _, traj, locs = lone_glider_run()
     short = Trajectory(traj.frames[:1])

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import re
+import shlex
 from collections import Counter
 
 import numpy as np
@@ -374,6 +375,35 @@ def test_census_writes_protocol_header_and_rows(tmp_path):
     cfg = FitnessConfig(**{**analysis.CLASS_SWEEP_PROTOCOL, "trials": 2})
     assert analysis.census_from_csv(text) == analysis.class_census(rset, cfg)
     assert read_meta(out)["command"] == "census"
+
+
+def _regenerate_args(text):
+    """The parsed arguments of a census CSV's ``# Regenerate:`` command."""
+    line = next(ln for ln in text.splitlines() if ln.startswith("# Regenerate: "))
+    argv = shlex.split(line.removeprefix("# Regenerate: "))
+    assert argv[:5] == ["PYTHONPATH=src", "python", "-m", "hexreact.cli", "census"]
+    return build_parser().parse_args(argv[4:])
+
+
+def test_census_regenerate_command_quotes_paths(tmp_path):
+    # the two-rule class of test_census_writes_protocol_header_and_rows, in a dir with a space
+    genome = "SSSSSSSSSAASSSSSBASSSBASSSSSSSSSSSSS"
+    allowed = {pair: {"SAB".index(genome[k])} for k, pair in enumerate(analysis.PAIRS)}
+    allowed[(7, 0)] = {0, 2}
+    spaced = tmp_path / "a dir"
+    spaced.mkdir()
+    reduced, out = spaced / "reduced.csv", spaced / "census.csv"
+    reduced.write_text(analysis.ReducedRuleSet(allowed).to_csv())
+    assert main(["census", "--reduced", str(reduced), "--trials", "2", "--out", str(out)]) == 0
+    args = _regenerate_args(out.read_text())
+    assert (args.reduced, args.trials, args.out) == (str(reduced), 2, str(out))
+
+
+def test_bundled_census_regenerate_command_parses_to_its_config():
+    text = analysis._fixture_text("reference_class_mobile.csv")
+    meta = json.loads(analysis._fixture_text("reference_class_mobile.csv.meta.json"))
+    config = {k: v for k, v in vars(_regenerate_args(text)).items() if k != "func"}
+    assert config == meta["config"]
 
 
 def test_bad_inputs_exit_nonzero(tmp_path, capsys):

@@ -174,6 +174,9 @@ def test_grid_is_unhashable_and_compares_only_to_grids():
     with pytest.raises(TypeError):
         hash(Grid.filled(4, 4))
     assert Grid.filled(4, 4) != "Grid(4x4)"  # another type is never equal
+    zeros = np.zeros((4, 4), dtype=np.uint8)  # nor is an array, in either order
+    assert Grid.filled(4, 4) != zeros and zeros != Grid.filled(4, 4)
+    assert not Grid.filled(4, 4) == zeros and not zeros == Grid.filled(4, 4)
     assert repr(Grid.filled(4, 6)) == "Grid(4x6)"
 
 

@@ -167,4 +167,7 @@ def test_rules_compare_and_key_by_genome():
     a, b = RuleMatrix.from_genome(DENSE_GENOME), RuleMatrix.from_genome(DENSE_GENOME)
     assert len({a: 1, b: 2}) == 1  # the genome is read-only, so the hash holds
     assert a != DENSE_GENOME  # another type is never equal
+    empty, zeros = RuleMatrix([0] * 36), np.zeros(36, dtype=np.uint8)  # nor is an array
+    assert empty != zeros and zeros != empty
+    assert not empty == zeros and not zeros == empty
     assert repr(a) == f"RuleMatrix({DENSE_GENOME!r})"

@@ -239,6 +239,18 @@ def test_proximity_ends_one_track_per_flagged_component(name):
     assert ends == flagged  # a Counter reads a missing key as zero
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ends_yields_finished_classified_localizations(name):
+    ends = list(detector._ends(CASES[name](), 12, "all"))
+    assert ends and all(type(loc) is detector.Localization for loc in ends)
+    assert all(loc.loc_class and loc.cells_last is not None for loc in ends)
+
+
+def test_a_track_holds_no_copy_of_the_neighbor_table():
+    # _ends holds the window's neighbor_table and hands it to _measure_trail
+    assert detector._Track.__slots__ == ("loc", "places")
+
+
 def _live_frames():
     return sum(type(obj) is detector._Frame for obj in gc.get_objects())
 
