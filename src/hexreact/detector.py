@@ -15,15 +15,20 @@ placement-independent, and displacements come out as exact integer vectors
 
 ``track`` cuts the window's distinct grids into blocks of up to
 ``_BLOCK_CELLS`` non-S cells and runs one array pass per block (``_scan``).
-Cells are keyed ``t * h * w + cell``, so no component crosses frames.  The
-pass labels components by root hooking over the neighbour table, flags the
-components in proximity from one label gather over half of each cell's
-radius-2 ring, writes each frame's ``reach`` map (cell to the unflagged
-component whose one-ring dilation holds it) in one scatter, takes every
-component's sorted cells and states from one sort of (component, cell) keys,
-and takes canonical shapes and anchors from one sort of (component, row,
-axial column) keys, on coordinates ``_lift`` frees from the torus wrap.  No
-dilation is stored: proximity needs none, and linking reads ``reach``.
+Cells are keyed ``t * h * w + cell``, so no component crosses frames.  Every
+neighbour the tracker reads comes from one cached int32 table per grid size,
+``_steps``: a row per step (the cell itself, its six neighbours, and half of
+its radius-2 ring), a column per cell.  Each gather takes the rows it needs
+at the pass's cells along that cell axis, so it copies a few long runs
+instead of one short run per cell.  The pass labels components by root
+hooking over the E, SE and SW rows, flags the components in proximity from
+one label gather over the half-ring rows, writes each frame's ``reach`` map
+(cell to the unflagged component whose one-ring dilation holds it) in one
+scatter over the first seven rows, takes every component's sorted cells and
+states from one sort of (component, cell) keys, and takes canonical shapes
+and anchors from one sort of (component, row, axial column) keys, on
+coordinates ``_lift`` frees from the torus wrap.  No dilation is stored:
+proximity needs none, and linking reads ``reach``.
 Which components get a shape is the caller's choice: ``track`` shapes every
 one, ``mobile_localizations`` only those not flagged for proximity (a flagged
 component's track ends on that frame, and the mobile path skips it), and
@@ -46,7 +51,7 @@ first-occurrence ids, and a repeated pair of grids reuses it.  A step holds
 lists and anchor steps, no frame, so it keeps no frame alive.
 
 A ``_Frame`` holds only what the block pass computes; ``_ends`` owns the
-window's state, the grid's ``neighbor_table`` among it.  It visits a frame's
+window's state, the grid's ``_steps`` table among it.  It visits a frame's
 candidates in one loop, where each extends over its clean link or ends, then
 the frame's components in one loop in ascending order, where an unflagged one
 becomes a candidate and a flagged one ends its track by proximity.  A link is
@@ -193,30 +198,39 @@ def _unique(keys: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _two_steps(h: int, w: int) -> np.ndarray:
-    """Half of every cell's radius-2 ring, shape ``(h * w, 6)``, from ``neighbor_table``.
+def _steps(h: int, w: int) -> np.ndarray:
+    """Every neighbour gather's step table, shape ``(13, h * w)``, int32, read-only.
 
-    Columns are the cells reached by the steps E+E, E+SE, SE+SE, SE+SW, SW+SW
-    and SW+W; the other six cells two steps away are these six reversed.
-    Cached like the table it is composed from; read-only.
+    Rows 0-6 are ``neighbor_table(h, w).T``: each cell itself, then its E, SE,
+    SW, W, NW and NE neighbours.  Rows 7-12 are half of every cell's radius-2
+    ring, the cells reached by the steps E+E, E+SE, SE+SE, SE+SW, SW+SW and
+    SW+W; the other six cells two steps away are these six reversed.  Cells
+    run along the last axis, so a gather copies one long run per row (see
+    the module docstring).  Cached like the table it is built from.
     """
     table = neighbor_table(h, w)
-    steps = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4))  # columns E=1, SE=2, SW=3, W=4
-    ring = np.stack([table[table[:, a], b] for a, b in steps], axis=1)
-    ring.setflags(write=False)
-    return ring
+    pairs = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4))  # E=1, SE=2, SW=3, W=4
+    ring = [table[table[:, a], b] for a, b in pairs]
+    steps = np.vstack([table.T, *ring]).astype(np.int32)
+    steps.setflags(write=False)
+    return steps
 
 
 def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
     """Every frame of ``block``, shape ``(frames, h, w)``, from one array pass.
 
     Cells are keyed ``t * h * w + cell``, so no component crosses frames.
-    Root hooking joins each non-S cell to its E, SE and SW neighbours, which
-    names every edge once.  Two components of a frame clash exactly when a
-    cell of one lies two steps from a cell of the other (the cell between is
-    in both dilations), so one label gather over half the radius-2 ring flags
-    both ends of every hit.  An unflagged component's dilation meets no other
-    dilation, so one scatter writes ``reach``, with no sort.
+    Every neighbour comes from the ``_steps`` table, gathered along its cell
+    axis: ``steps[rows].take(cell, axis=1) + base`` has one row per step and
+    one column per non-S cell, so entry ``i`` of the flattened result
+    belongs to non-S cell ``i % n``.  Root hooking joins each non-S cell to its E, SE and SW
+    neighbours (rows 1-3), which names every edge once; ``_roots`` gives the
+    component minima whatever the edge order.  Two components of a frame
+    clash exactly when a cell of one lies two steps from a cell of the other
+    (the cell between is in both dilations), so one label gather over the
+    half radius-2 ring (rows 7-12) flags both ends of every hit.  An
+    unflagged component's dilation meets no other dilation, so one scatter
+    over rows 0-6 writes ``reach``, with no sort.
     Each frame gets views of the block's arrays, its components counted from 0.
     ``shaped`` names the components that get a canonical shape and anchor:
     ``"all"`` (for ``track``), ``"unflagged"``, those not flagged ``clash``
@@ -227,17 +241,17 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
     _require_even_height(h)
     size = h * w
     flat = block.ravel()
-    table = neighbor_table(h, w)
-    nz = np.flatnonzero(flat)
+    steps = _steps(h, w)
+    nz = np.flatnonzero(flat != 0)  # several times faster than on the uint8 cells
     n = len(nz)
     # int32: a frame keeps its labels and reach for as long as a track holds it
     labels = np.full(nf * size, -1, dtype=np.int32)
     labels[nz] = np.arange(n)
     cell = nz % size
     base = nz - cell
-    around = labels[base[:, None] + table[cell, 1:4]]  # E, SE and SW: every edge once
+    around = labels[steps[1:4].take(cell, axis=1) + base]  # E, SE and SW: every edge once
     hook = np.flatnonzero(around >= 0)
-    root = _roots(hook // 3, around.ravel()[hook], n)
+    root = _roots(hook % n, around.ravel()[hook], n)
 
     is_root = root == np.arange(n)
     comp = (np.cumsum(is_root) - 1)[root]
@@ -246,16 +260,16 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
     shift = first[nz // size]
     labels[nz] = own = comp - shift
     # a hit two steps away flags both ends; the six reversed steps meet the same pairs
-    far = labels[base[:, None] + _two_steps(h, w)[cell]]
-    hit = np.flatnonzero((far >= 0) & (far != own[:, None]))
-    row = hit // 6
+    far = labels[steps[7:].take(cell, axis=1) + base]
+    hit = np.flatnonzero((far >= 0) & (far != own))
+    row = hit % n
     clash = np.zeros(count, dtype=bool)
     clash[comp[row]] = True
     clash[far.ravel()[hit] + shift[row]] = True
     # unflagged dilations are disjoint, so every write to a cell writes one value
     free = ~clash[comp]
     reach = np.full(nf * size, -1, dtype=np.int32)
-    reach[base[free, None] + table[cell[free]]] = own[free, None]
+    reach[steps[:7].take(cell[free], axis=1) + base[free]] = own[free]
     comp, key = np.divmod(np.sort(comp * (nf * size) + nz), nf * size)
     cells, states = key % size, flat[key]
     bounds = np.searchsorted(comp, np.arange(count + 1))
@@ -564,8 +578,8 @@ class _Track:
         """Persistent non-S debris inside the corridor this track swept.
 
         The corridor is the dilation of every earlier position of the
-        component, taken in one gather of ``table`` (the grid's
-        ``neighbor_table``, which ``_ends`` holds for the window) over the
+        component, taken in one gather of rows 0-6 of ``table`` (the grid's
+        ``_steps``, which ``_ends`` holds for the window) over the
         cells of the distinct earlier places (a settled window revisits one
         frame's component again and again).  Debris must be present
         (somewhere in the corridor, away from the current head) in each of
@@ -576,7 +590,7 @@ class _Track:
             return
         swept = np.zeros(len(self.places[0][0].labels), dtype=bool)
         runs = [f.cells[f.bounds[k] : f.bounds[k + 1]] for f, k in dict.fromkeys(self.places[:-1])]
-        swept[table[np.concatenate(runs)]] = True
+        swept[table[:7].take(np.concatenate(runs), axis=1)] = True
         # the only non-S cells inside the head's dilation are the head's own
         hits = [swept[f.cells] & (f.labels[f.cells] != k) for f, k in self.places[-2:]]
         if hits[0].any() and hits[1].any():
@@ -590,7 +604,7 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
     A track ends on component ``k`` of a frame with reason ``"merge"``,
     ``"split"``, ``"proximity"`` or None; the local ``end`` takes its
     ``_Track`` (or builds the Localization of a track that lived on that frame
-    alone), measures its trail over the window's ``neighbor_table``, sets its
+    alone), measures its trail over the window's ``_steps`` table, sets its
     last cells and states and its reason, and classifies it.  Frames are
     scanned with ``_scan``'s ``shaped``.  The ``p_max`` check runs on the
     first ``next``, and so does ``_scan``'s grid check.
@@ -616,10 +630,14 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
     yielded: tracks past their first frame that end with reason None.
     """
     h, w = tr.frames[0].shape
+    try:
+        operator.index(p_max)
+    except TypeError:
+        raise ValueError(f"p_max must be an integer, got {p_max!r}") from None
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
 
-    table = neighbor_table(h, w)
+    table = _steps(h, w)
 
     def end(trk: _Track | None, t: int, frame: _Frame, k: int, reason) -> Localization:
         if trk is None:
@@ -755,6 +773,8 @@ class FitnessConfig:
                     raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
             elif type(f.default) is float and not 0 <= value:  # NaN fails too
                 raise ValueError(f"{f.name} must be a non-negative probability, got {value!r}")
+        if not isinstance(self.count_puffers, (bool, np.bool_)):
+            raise ValueError("count_puffers must be True or False")
         _require_even_height(self.height)
         if min(self.width, self.height) < 3:
             raise ValueError("grid dimensions must be at least 3x3")

@@ -31,6 +31,7 @@ Both include the centre cell in the counts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -244,6 +245,12 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
     copy of its state.  Beyond the kept frames, memory is one key and at
     most one period of states.
     """
+    counts = {"steps": steps} if keep_last is None else {"steps": steps, "keep_last": keep_last}
+    for name, value in counts.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if steps < 0:
         raise ValueError("steps must be >= 0")
     total = steps + 1

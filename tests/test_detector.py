@@ -30,7 +30,7 @@ from hexreact.detector import (
     track,
 )
 from hexreact.engine import Trajectory, run
-from hexreact.hexgrid import CellState, Grid, neighborhood
+from hexreact.hexgrid import CellState, Grid, neighbor_table, neighborhood
 from hexreact.rules import PAIRS, RuleMatrix, random_rule
 from test_tracker_golden import PUFFER_RULE, localizations_digest
 
@@ -148,6 +148,31 @@ def test_roots_are_the_component_minima_of_a_plain_union_find(graph):
     u = np.array([a for a, _ in edges], dtype=np.int64)
     v = np.array([b for _, b in edges], dtype=np.int32)  # _scan's ends are int32 labels
     assert detector._roots(u, v, n).tolist() == component_minima(edges, n)
+
+
+# the half radius-2 ring's steps, as neighbor_table columns: E=1, SE=2, SW=3, W=4,
+# NW=5, NE=6; the reverse of column d is (d + 2) % 6 + 1
+HALF_RING = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(2, 10), st.integers(3, 20))
+def test_step_table_is_the_neighbor_table_and_the_half_ring(half_h, w):
+    h = 2 * half_h
+    steps, table = detector._steps(h, w), neighbor_table(h, w)
+    assert steps.shape == (13, h * w) and steps.dtype == np.int32
+    assert not steps.flags.writeable
+    assert np.array_equal(steps[:7], table.T)
+    for row, (a, b) in enumerate(HALF_RING, start=7):
+        assert np.array_equal(steps[row], table[table[:, a], b])
+    if min(h, w) >= 5:
+        # with the six reversed steps: every cell two steps away, each once
+        back = [table[table[:, (a + 2) % 6 + 1], (b + 2) % 6 + 1] for a, b in HALF_RING]
+        ring = np.concatenate([steps[7:].T, np.stack(back, axis=1)], axis=1)
+        for cell in range(h * w):
+            near = set(table[cell].tolist())
+            two = set(table[table[cell]].ravel().tolist()) - near
+            assert len(set(ring[cell].tolist())) == 12 and set(ring[cell].tolist()) == two
 
 
 # -- canonical shapes ----------------------------------------------------------
@@ -386,6 +411,18 @@ def test_track_rejects_a_p_max_below_one():
         track(make_trajectory([grid_with(12, 12, TRIPLE)] * 3), p_max=0)
 
 
+@pytest.mark.parametrize("p_max", [2.5, "12", None])
+def test_track_rejects_a_non_integer_p_max_before_scanning(p_max, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a frame was scanned")
+
+    monkeypatch.setattr(detector, "_scan", no_scan)
+    tr = make_trajectory([grid_with(12, 12, TRIPLE)] * 3)
+    for tracker in (track, detector._mobile_tracks):
+        with pytest.raises(ValueError, match="p_max must be an integer"):
+            tracker(tr, p_max)
+
+
 # -- fitness --------------------------------------------------------------------
 
 
@@ -584,7 +621,14 @@ def test_fitness_config_validation():
     FitnessConfig(steps=np.int64(100), trials=np.int32(2))  # numpy integers are integers
 
 
-# -- metamorphic: classes do not depend on placement or on the A/B labels ------------
+@pytest.mark.parametrize("flag", ["no", "", 0, 1, None])
+def test_fitness_config_requires_a_bool_count_puffers(flag):
+    with pytest.raises(ValueError, match="count_puffers must be True or False"):
+        FitnessConfig(count_puffers=flag)
+    assert not FitnessConfig(count_puffers=np.bool_(False)).count_puffers
+
+
+# -- metamorphic: classes do not depend on placement, the A/B labels or reflections --
 
 
 def _census(tr):
@@ -640,3 +684,43 @@ def test_census_is_invariant_under_the_ab_swap(name):
     tr = run(Grid(_swap_ab(grid.cells)), _conjugate(rule), 200, keep_last=48)
     assert np.array_equal(tr[-1].cells, _swap_ab(run(grid, rule, 200)[-1].cells))
     assert _census(tr) == base
+
+
+def _point_reflection(cells):
+    """Axial (q, r) -> (-q, -r): offset (row, col) -> (-row, -col - row % 2)."""
+    h, w = cells.shape
+    rows, cols = np.indices(cells.shape)
+    out = np.empty_like(cells)
+    out[-rows % h, (-cols - (rows & 1)) % w] = cells
+    return out
+
+
+def _mirror(cells):
+    """Axial (q, r) -> (-q - r, r): offset (row, col) -> (row, -col - row % 2)."""
+    w = cells.shape[1]
+    rows, cols = np.indices(cells.shape)
+    out = np.empty_like(cells)
+    out[rows, (-cols - (rows & 1)) % w] = cells
+    return out
+
+
+# each reflection of the grid, and where it takes a displacement (dr, dq)
+REFLECTIONS = {
+    "point": (_point_reflection, lambda dr, dq: (-dr, -dq)),
+    "mirror": (_mirror, lambda dr, dq: (dr, -dq - dr)),
+}
+
+
+@pytest.mark.parametrize("reflection", sorted(REFLECTIONS))
+@pytest.mark.parametrize("name", sorted(METAMORPHIC_CASES))
+def test_census_maps_through_the_reflections(name, reflection):
+    # a reflection swaps the half ring the clash gather reads with its reverse
+    reflect, move = REFLECTIONS[reflection]
+    rule, grid = METAMORPHIC_CASES[name]()
+    base = run(grid, rule, 200, keep_last=48)
+    tr = run(Grid(reflect(grid.cells)), rule, 200, keep_last=48)
+    assert all(np.array_equal(a.cells, reflect(b.cells)) for a, b in zip(tr.frames, base.frames))
+    want = Counter()
+    for (cls, period, disp, *rest), count in _census(base).items():
+        want[(cls, period, None if disp is None else move(*disp), *rest)] += count
+    assert _census(tr) == want

@@ -151,6 +151,20 @@ def test_run_rejects_negative_steps_and_an_empty_window():
         run(g, rule, 3, keep_last=0)
 
 
+@pytest.mark.parametrize("steps, keep_last, name", [(2.5, None, "steps"), ("3", None, "steps"),
+                                                    (None, 2, "steps"), (3, 1.5, "keep_last"),
+                                                    (3, 2.0, "keep_last")])
+def test_run_rejects_a_non_integer_count_by_name(steps, keep_last, name):
+    g, rule = Grid.filled(4, 4), RuleMatrix.from_genome("S" * 36)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run(g, rule, steps, keep_last=keep_last)
+
+
+def test_run_takes_numpy_integers():
+    g, rule = Grid.filled(4, 4), RuleMatrix.from_genome("S" * 36)
+    assert len(run(g, rule, np.int64(3), keep_last=np.int32(2))) == 2
+
+
 def test_run_returns_all_frames_by_default():
     rng = np.random.default_rng(31)
     g = random_grid(rng, 6, 6)
