@@ -23,6 +23,18 @@ are passed in as values, so each one round-trips exactly, and no reaction
 or species name reaches ``exec``.  ``propensity`` evaluates the same
 ``_law`` expression, so it returns the very rate the loop uses.
 
+An event does as little as that allows.  The laws carry no guard: a count
+below its stoichiometry puts a factor ``(n - n) = 0`` into the product, so
+the rate is 0.0 or -0.0, which sums and compares like 0.0.  The time test is
+one comparison against the next lattice point, since the lattice the loop
+walks ends one ulp past ``t_max``; only a step across a lattice point goes
+on to test the horizon.  Only a run with an event budget counts its events
+one by one; an unbudgeted run reports the sum of ``fired``.  Two rules keep
+the unguarded laws safe: a channel-choice draw of exactly 0.0 is raised to
+2**-53 (``_draws``), so the target is positive and only a channel with a
+positive rate can fire, and ``ssa_run`` rejects initial counts whose
+propensities overflow, where the total would be inf or nan for good.
+
 Every reaction in the standard scheme conserves the particle total, which
 makes long runs cheap to validate: the sum S+A+B never moves.
 """
@@ -194,16 +206,13 @@ def _law(r: int, needs) -> str:
     """Source of channel ``r``'s propensity over coefficient ``c{r}`` and counts ``n{k}``.
 
     ``c * n * (n - 1) * ...``: the falling factorials multiplied onto the
-    coefficient left to right, reactants in dict order, guarded to 0.0 when a
-    count is below its stoichiometry.  Only integers enter the text.
+    coefficient left to right, reactants in dict order.  There is no guard:
+    a count ``n`` in ``0 .. nu - 1`` makes the factor ``(n - n)`` zero, so
+    the rate is 0.0 or -0.0.  Only integers enter the text.
     """
-    expr = f"c{r}" + "".join(
+    return f"c{r}" + "".join(
         f" * (n{k} - {d})" if d else f" * n{k}" for k, nu in needs for d in range(nu)
     )
-    if not needs:
-        return expr
-    guard = " and ".join(f"n{k} >= {nu}" for k, nu in needs)
-    return f"({expr} if {guard} else 0.0)"
 
 
 def propensity(rx: Reaction, counts: dict, omega: float) -> float:
@@ -212,7 +221,8 @@ def propensity(rx: Reaction, counts: dict, omega: float) -> float:
     ``rate * prod_s C(n_s, nu_s) / omega**(order - 1)``: the combinatorial
     number of reactant tuples, volume-scaled so that doubling omega at fixed
     concentration doubles total event rates of every order alike.  The value
-    is bit-identical to the rate ``ssa_run`` uses for this channel.
+    is bit-identical to the rate ``ssa_run`` uses for this channel.  A count
+    below its stoichiometry gives a zero rate, which may be -0.0.
     """
     species = tuple(rx.reactants)
     coef, needs, _ = _channel(rx, species, omega)
@@ -254,6 +264,22 @@ class SSAResult:
 # even, so an event's two draws never straddle a block
 _BLOCK = 1 << 16
 
+
+def _draws(rng: np.random.Generator) -> memoryview:
+    """One block of uniforms: an event's waiting-time draw, then its channel draw.
+
+    A channel draw of exactly 0.0 becomes 2**-53, the smallest positive value
+    ``Generator.random`` returns, so the target it sets is positive and the
+    first running sum to reach it belongs to a channel with a positive rate.
+    Every other draw is left as it is.
+    """
+    u = rng.random(_BLOCK)
+    choice = u[1::2]
+    np.maximum(choice, 2.0**-53, out=choice)
+    return memoryview(u)
+
+
+# lines ending in "# budget" are kept only when the run has an event budget
 _LOOP = """\
 def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
     {c} = coefs
@@ -261,10 +287,10 @@ def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
     {f} = {zeros}
     log = _log
     block = _BLOCK
-    buf = memoryview(rng.random(block))
+    buf = _draws(rng)
     k = 0
     t = 0.0
-    events = 0
+    events = 0  # budget
     next_sample = 0
     t_sample = lattice[0]
     while True:
@@ -272,41 +298,49 @@ def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
         if total == 0.0:
             reason = "absorbed"
             break
-        if events >= max_events:
-            reason = "max_events"
-            break
+        if events >= max_events:  # budget
+            reason = "max_events"  # budget
+            break  # budget
         if k == block:
-            buf = memoryview(rng.random(block))
+            buf = _draws(rng)
             k = 0
         t_next = t - log(1.0 - buf[k]) / total
-        if t_next > t_max:
-            t = t_max
-            reason = "t_max"
-            break
-        while t_sample <= t_next:
-            rec_counts.append(({n}))
-            next_sample += 1
-            t_sample = lattice[next_sample]
+        if t_next >= t_sample:
+            if t_next > t_max:
+                t = t_max
+                reason = "t_max"
+                break
+            while t_sample <= t_next:
+                rec_counts.append(({n}))
+                next_sample += 1
+                t_sample = lattice[next_sample]
         target = buf[k + 1] * total
         k += 2
         t = t_next
-        events += 1
+        events += 1  # budget
 {fire}
-    return ({n}), t, events, reason, ({f})
+    return ({n}), t, {events}, reason, ({f})
 """
 
 
-def _event_loop(system: ReactionSystem, omega: float):
+def _event_loop(system: ReactionSystem, omega: float, budgeted: bool):
     """Generate ``ssa_run``'s event loop for one system and volume.
 
     Returns ``(loop, coefs)``.  ``loop`` holds the counts in locals ``n0, n1,
-    ...``, unrolls every channel's ``_law`` and picks the firing channel by a
-    flat ladder of tests over the running sums: each channel but the last is
-    ``if not s{r} < target:``, its moves and ``continue``, and the last
-    channel fires untested, since the target never exceeds the total.  The
-    ladder nests nothing, so no channel count meets the compiler's nesting
-    limit.  ``coefs`` are the channel coefficients the loop unpacks at entry,
-    passed as values so no float is printed.
+    ...``, unrolls every channel's unguarded ``_law`` and picks the firing
+    channel by a flat ladder of tests over the running sums: each channel
+    but the last is ``if not s{r} < target:``, its moves and ``continue``,
+    and the last channel fires untested, since the target never exceeds the
+    total.  The ladder nests nothing, so no channel count meets the
+    compiler's nesting limit.  ``coefs`` are the channel coefficients the
+    loop unpacks at entry, passed as values so no float is printed.
+
+    The loop tests the time once per event, ``t_next >= t_sample``; its
+    ``lattice`` must end with a sentinel just past ``t_max`` and hold no
+    point above it, so that every step beyond the horizon enters that branch
+    and stops there.  Only a ``budgeted`` loop counts events and tests them
+    against ``max_events``; an unbudgeted one returns the sum of ``f0, f1,
+    ...``, as every event adds one to exactly one channel's count.
     """
     species, reactions = system.species, system.reactions
     coefs, sums, fire = [], [], []
@@ -325,15 +359,23 @@ def _event_loop(system: ReactionSystem, omega: float):
     def names(prefix, count):
         return ", ".join(f"{prefix}{i}" for i in range(count)) + "," if count else "()"
 
-    source = _LOOP.format(
+    template = "\n".join(
+        line.removesuffix("  # budget")
+        for line in _LOOP.splitlines()
+        if budgeted or not line.endswith("  # budget")
+    )
+    f = names("f", len(reactions))
+    source = template.format(
         c=names("c", len(reactions)),
         n=names("n", len(species)),
-        f=names("f", len(reactions)),
+        f=f,
         zeros="0," * len(reactions) or "()",
         sums="\n".join(" " * 8 + line for line in sums),
         fire="\n".join(" " * 8 + line for line in fire),
+        # a flat tuple: a chain of 5000 "+" nests past the compiler's limit
+        events="events" if budgeted else f"sum(({f}))",
     )
-    namespace = {"_log": math.log, "_BLOCK": _BLOCK}
+    namespace = {"_log": math.log, "_draws": _draws, "_BLOCK": _BLOCK}
     exec(compile(source, "<ssa_run event loop>", "exec"), namespace)
     return namespace["loop"], tuple(coefs)
 
@@ -360,7 +402,9 @@ def ssa_run(
     "t_max" when simulated past the horizon, "absorbed" when no channel can
     fire (remaining samples hold the frozen state), "max_events" when the
     event budget ran out first (the sample record is truncated there).
-    ``fired`` counts the events of each channel.
+    ``fired`` counts the events of each channel.  Initial counts whose
+    propensities overflow (a total of inf or nan would stall the clock) are
+    a ``ValueError``.
     """
     _finite_positive("t_max", t_max)
     if sample_dt is not None:
@@ -388,6 +432,13 @@ def ssa_run(
     if omega is None:
         omega = float(sum(n)) or 1.0
     _finite_positive("omega", omega)
+    start = dict(zip(species, n))
+    try:
+        a0 = sum(propensity(rx, start, omega) for rx in system.reactions)
+    except OverflowError:
+        a0 = math.inf
+    if not math.isfinite(a0):
+        raise ValueError(f"propensities overflow at initial counts {start} with omega={omega!r}")
 
     if sample_dt is None:
         lattice = [0.0, float(t_max)]
@@ -396,12 +447,15 @@ def ssa_run(
         if lattice[-1] < t_max:
             lattice.append(float(t_max))
     rec_counts: list[tuple] = []
-    loop, coefs = _event_loop(system, omega)
+    loop, coefs = _event_loop(system, omega, max_events is not None)
     # the loop records the pre-event state at every lattice point it jumps
-    # across; the inf sentinel ends that scan without a bounds test
+    # across.  The sentinel one ulp past t_max ends that scan without a
+    # bounds test, and any step beyond t_max reaches it.  A last point that
+    # rounding put above t_max is left out: the loop could never record it.
+    sentinel = math.nextafter(t_max, math.inf)
     n, t, events, reason, fired = loop(
-        coefs, n, t_max, math.inf if max_events is None else max_events,
-        lattice + [math.inf], rng, rec_counts,
+        coefs, n, t_max, max_events,
+        [p for p in lattice if p <= t_max] + [sentinel], rng, rec_counts,
     )
 
     if reason == "max_events":

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexreact import reactor as rc
 
@@ -121,6 +123,27 @@ def test_propensity_volume_scaling():
     assert rc.propensity(pair, {"A": 5, "B": 5}, 10.0) == pytest.approx(2.5)
     # doubling omega at fixed counts halves a second-order propensity
     assert rc.propensity(pair, {"A": 5, "B": 5}, 20.0) == pytest.approx(1.25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    needs=st.dictionaries(st.sampled_from(rc.SPECIES), st.integers(1, 3), min_size=1),
+    counts=st.fixed_dictionaries({sp: st.integers(0, 6) for sp in rc.SPECIES}),
+    rate=st.floats(1e-3, 1e3),
+    omega=st.floats(0.5, 1e3),
+)
+def test_propensity_is_the_falling_factorial_product(needs, counts, rate, omega):
+    # the unguarded law: below a stoichiometry one factor is (n - n) = 0
+    rx = rc.Reaction(needs, {"S": 1}, rate)
+    expect = rate / omega ** (rx.order - 1)
+    for nu in needs.values():
+        expect /= math.factorial(nu)
+    for sp, nu in needs.items():
+        for d in range(nu):
+            expect *= counts[sp] - d
+    if any(counts[sp] < nu for sp, nu in needs.items()):
+        expect = 0.0
+    assert rc.propensity(rx, counts, omega) == expect
 
 
 @pytest.mark.parametrize("omega", [1e-200, 1e200, 5e-324])
@@ -299,6 +322,57 @@ def test_zero_event_budget_stops_before_the_first_event():
     assert res.fired == (0,) * 11
 
 
+@pytest.mark.parametrize(
+    "init",
+    [
+        {"A": 10**160, "B": 10**160, "S": 0},
+        # c * A * (A - 1) overflows before the factor B = 0 makes it nan
+        {"A": 10**160, "B": 0, "S": 0},
+        # too large to convert to a float at all
+        {"A": 10**400, "B": 1, "S": 0},
+    ],
+    ids=["inf", "nan", "int-too-large"],
+)
+def test_run_rejects_initial_counts_whose_propensities_overflow(init):
+    # an inf total makes every waiting time 0, so the clock would never
+    # reach t_max; the budget only keeps a missed check finite
+    with pytest.raises(ValueError, match=r"propensities overflow at initial counts .* omega=1\.0"):
+        rc.ssa_run(rc.standard_system(), init, 1.0, np.random.default_rng(0),
+                   max_events=10, omega=1.0)
+
+
+class _StubGenerator:
+    """Stands in for a Generator: every block repeats ``pair`` (time draw, channel draw)."""
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def random(self, size):
+        return np.resize(np.array(self.pair, dtype=float), size)
+
+
+def test_a_zero_channel_draw_fires_no_zero_rate_channel():
+    # at A=3, B=0 the first channel's rate is 0; a channel draw of exactly 0.0
+    # made the target 0.0, which that rate reaches, so B went negative
+    system = rc.parse_system("A + B -> 2A @ 1.0\nA -> S @ 1.0")
+    res = rc.ssa_run(system, {"A": 3}, 1e9, _StubGenerator((0.5, 0.0)), max_events=5)
+    assert (res.reason, res.events, res.fired) == ("absorbed", 3, (0, 3))
+    assert res.final_counts() == {"A": 0, "B": 0, "S": 3}
+
+
+@pytest.mark.parametrize("max_events", [None, 2], ids=["unbudgeted", "budgeted"])
+def test_an_event_that_lands_exactly_on_t_max_fires_and_the_next_stops_the_run(max_events):
+    # a0 = 1 throughout and every draw is 0.5, so each waiting time is
+    # -log(0.5) = log(2): the first event lands on t_max and fires, the
+    # second lands past it and ends the run
+    system = rc.parse_system("A -> S @ 1.0\nS -> A @ 1.0")
+    t_max = math.log(2)
+    res = rc.ssa_run(system, {"A": 1}, t_max, _StubGenerator((0.5, 0.5)), max_events=max_events)
+    assert (res.events, res.reason, res.t_end, res.fired) == (1, "t_max", t_max, (1, 0))
+    assert res.times.tolist() == [0.0, t_max]
+    assert res.counts.tolist() == [[1, 0, 0], [1, 0, 0]]
+
+
 def test_csv_layout():
     res = rc.ssa_run(
         rc.standard_system(), {"A": 20, "B": 20, "S": 20}, 2.0,
@@ -442,6 +516,12 @@ def _direct_method(system, init, t_max, seed, sample_dt=None, max_events=None, o
         (rc.standard_system(), {"B": 30, "S": 5}, 500.0, (9,), dict(sample_dt=25.0)),
         (rc.standard_system(), {"A": 300, "B": 200, "S": 100}, 1e9, (3, 4),
          dict(max_events=150, omega=75.0)),
+        # no budget and no lattice: both runs end by t_max
+        (rc.standard_system(), {"A": 200, "B": 100, "S": 50}, 2.0, (10, 11),
+         dict(sample_dt=None)),
+        # 5 * 2.87 rounds to one ulp above t_max = 14.35, the lattice's last point
+        (rc.standard_system(), {"A": 30, "B": 30, "S": 30}, 14.35, (12, 13),
+         dict(sample_dt=2.87)),
         (_many_channel_system(150, 0), {"A": 40, "B": 30, "S": 20}, 0.1, (5, 6),
          dict(sample_dt=0.004)),
         (_many_channel_system(150, 0), {"A": 1234, "B": 567, "S": 89}, 1e9, (7,),
@@ -450,7 +530,8 @@ def _direct_method(system, init, t_max, seed, sample_dt=None, max_events=None, o
          dict(max_events=3)),
     ],
     ids=["standard-lattice", "standard-last-channel", "standard-budget",
-         "150-lattice", "150-budget", "2500-budget"],
+         "standard-endpoints", "standard-lattice-past-t_max", "150-lattice",
+         "150-budget", "2500-budget"],
 )
 def test_whole_trajectories_match_a_plain_direct_method(system, init, t_max, seeds, kw):
     # every event's draws, rates and channel choice, not only the first

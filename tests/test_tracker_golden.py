@@ -246,8 +246,9 @@ def test_ends_yields_finished_classified_localizations(name):
     assert all(loc.loc_class and loc.cells_last is not None for loc in ends)
 
 
-def test_a_track_holds_no_copy_of_the_neighbor_table():
-    # _ends holds the window's neighbor_table and hands it to _measure_trail
+def test_a_track_holds_no_copy_of_the_step_table():
+    # _ends holds the window's _steps table and hands it to _measure_trail,
+    # which reads the cell and neighbour rows 0-6 of it
     assert detector._Track.__slots__ == ("loc", "places")
 
 
