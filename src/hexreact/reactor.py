@@ -17,11 +17,23 @@ propensity multiplies the same folded coefficient (``_channel``) by the same
 falling factorials in the same order (``_law``), the two uniform draws of an
 event come from the same blocks in the same order, and ``not s_r < target``
 picks the first channel whose running sum reaches the target, as a linear
-scan would.  Only integers -- species indices, stoichiometries and count
-changes -- are written into the generated source.  The float coefficients
-are passed in as values, so each one round-trips exactly, and no reaction
-or species name reaches ``exec``.  ``propensity`` evaluates the same
-``_law`` expression, so it returns the very rate the loop uses.
+scan would.  Only integers -- species indices, and stoichiometries and
+count changes written as float literals such as ``1.0`` -- enter the
+generated source.  The float coefficients are passed in as values, so each
+one round-trips exactly, and no reaction or species name reaches ``exec``.
+``propensity`` evaluates the same ``_law`` expression on int counts, so it
+returns the very rate the loop uses.
+
+The loop holds every count as a float whose value is an integer, so every
+multiply and subtract of a law is float with float, which CPython runs on
+its specialised path; float with int converts the int on every use.  Below
+2**53 that conversion is exact, and so is adding or subtracting a small
+integer-valued float, so each law, running sum and waiting time is the same
+bits as with int counts.  The loop keeps its counts in that range: where it
+draws a block of uniforms, at entry and every ``_BLOCK // 2`` events, a
+count above ``2**53 - (_BLOCK // 2) * D``, with ``D`` the largest count
+change of one firing, is a ``ValueError``.  The recorded rows become an
+int64 ``counts`` array; ``fired`` and ``events`` are ints.
 
 An event does as little as that allows.  The laws carry no guard: a count
 below its stoichiometry puts a factor ``(n - n) = 0`` into the product, so
@@ -208,10 +220,13 @@ def _law(r: int, needs) -> str:
     ``c * n * (n - 1) * ...``: the falling factorials multiplied onto the
     coefficient left to right, reactants in dict order.  There is no guard:
     a count ``n`` in ``0 .. nu - 1`` makes the factor ``(n - n)`` zero, so
-    the rate is 0.0 or -0.0.  Only integers enter the text.
+    the rate is 0.0 or -0.0.  Only integers enter the text, as float
+    literals (``(n0 - 1.0)``), so a float count stays float with float; an
+    int count, as ``propensity`` passes, gives the same factor, since every
+    count below 2**53 converts to a float exactly.
     """
     return f"c{r}" + "".join(
-        f" * (n{k} - {d})" if d else f" * n{k}" for k, nu in needs for d in range(nu)
+        f" * (n{k} - {d}.0)" if d else f" * n{k}" for k, nu in needs for d in range(nu)
     )
 
 
@@ -222,11 +237,13 @@ def propensity(rx: Reaction, counts: dict, omega: float) -> float:
     number of reactant tuples, volume-scaled so that doubling omega at fixed
     concentration doubles total event rates of every order alike.  The value
     is bit-identical to the rate ``ssa_run`` uses for this channel.  A count
-    below its stoichiometry gives a zero rate, which may be -0.0.
+    below its stoichiometry gives a zero rate, which may be -0.0.  A count
+    that is not a nonnegative integer (``operator.index``) is a
+    ``ValueError`` naming the species.
     """
     species = tuple(rx.reactants)
     coef, needs, _ = _channel(rx, species, omega)
-    n = {f"n{k}": int(counts.get(sp, 0)) for k, sp in enumerate(species)}
+    n = {f"n{k}": _count(f"count of {sp}", counts.get(sp, 0)) for k, sp in enumerate(species)}
     return eval(_law(0, needs), {"c0": coef}, n)
 
 
@@ -283,11 +300,11 @@ def _draws(rng: np.random.Generator) -> memoryview:
 _LOOP = """\
 def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
     {c} = coefs
-    {n} = counts
+    buf = _refill(rng, counts)
+    {n} = map(float, counts)
     {f} = {zeros}
     log = _log
     block = _BLOCK
-    buf = _draws(rng)
     k = 0
     t = 0.0
     events = 0  # budget
@@ -302,7 +319,7 @@ def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
             reason = "max_events"  # budget
             break  # budget
         if k == block:
-            buf = _draws(rng)
+            buf = _refill(rng, ({n}))
             k = 0
         t_next = t - log(1.0 - buf[k]) / total
         if t_next >= t_sample:
@@ -326,12 +343,14 @@ def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
 def _event_loop(system: ReactionSystem, omega: float, budgeted: bool):
     """Generate ``ssa_run``'s event loop for one system and volume.
 
-    Returns ``(loop, coefs)``.  ``loop`` holds the counts in locals ``n0, n1,
-    ...``, unrolls every channel's unguarded ``_law`` and picks the firing
-    channel by a flat ladder of tests over the running sums: each channel
-    but the last is ``if not s{r} < target:``, its moves and ``continue``,
-    and the last channel fires untested, since the target never exceeds the
-    total.  The ladder nests nothing, so no channel count meets the
+    Returns ``(loop, coefs)``.  ``loop`` takes the initial counts as ints and
+    holds them as floats in locals ``n0, n1, ...``; the rows it records and
+    the final counts it returns are tuples of those floats.  It unrolls every
+    channel's unguarded ``_law``, moves the counts by float literals and
+    picks the firing channel by a flat ladder of tests over the running sums:
+    each channel but the last is ``if not s{r} < target:``, its moves and
+    ``continue``, and the last channel fires untested, since the target never
+    exceeds the total.  The ladder nests nothing, so no channel count meets the
     compiler's nesting limit.  ``coefs`` are the channel coefficients the
     loop unpacks at entry, passed as values so no float is printed.
 
@@ -341,15 +360,23 @@ def _event_loop(system: ReactionSystem, omega: float, budgeted: bool):
     and stops there.  Only a ``budgeted`` loop counts events and tests them
     against ``max_events``; an unbudgeted one returns the sum of ``f0, f1,
     ...``, as every event adds one to exactly one channel's count.
+
+    Every block of draws comes through ``refill``, which first checks the
+    counts against ``bound``: a block serves ``_BLOCK // 2`` events, each
+    moving a count by at most ``step``, so a count at most ``bound`` when the
+    block is drawn stays at most 2**53 until the next, and floats count it
+    exactly.  The entry check sees the caller's ints, so a count too large
+    for any float is a ``ValueError``, not an ``OverflowError``.
     """
     species, reactions = system.species, system.reactions
-    coefs, sums, fire = [], [], []
+    coefs, sums, fire, step = [], [], [], 0
     for r, rx in enumerate(reactions):
         coef, needs, moves = _channel(rx, species, omega)
         coefs.append(coef)
+        step = max([step] + [abs(d) for _, d in moves])
         law = _law(r, needs)
         sums.append(f"s{r} = s{r - 1} + {law}" if r else f"s{r} = {law}")
-        body = [f"n{k} {'+' if d > 0 else '-'}= {abs(d)}" for k, d in moves]
+        body = [f"n{k} {'+' if d > 0 else '-'}= {abs(d)}.0" for k, d in moves]
         body.append(f"f{r} += 1")
         if r < len(reactions) - 1:
             body = [f"if not s{r} < target:"] + ["    " + line for line in body + ["continue"]]
@@ -375,9 +402,30 @@ def _event_loop(system: ReactionSystem, omega: float, budgeted: bool):
         # a flat tuple: a chain of 5000 "+" nests past the compiler's limit
         events="events" if budgeted else f"sum(({f}))",
     )
-    namespace = {"_log": math.log, "_draws": _draws, "_BLOCK": _BLOCK}
+    bound = 2**53 - (_BLOCK // 2) * step
+
+    def refill(rng, counts):
+        for sp, v in zip(species, counts):
+            if v > bound:
+                raise ValueError(
+                    f"count of {sp} is {int(v)}, above {bound}: past it the event loop's "
+                    "float counts could round")
+        return _draws(rng)
+
+    namespace = {"_log": math.log, "_refill": refill, "_BLOCK": _BLOCK}
     exec(compile(source, "<ssa_run event loop>", "exec"), namespace)
     return namespace["loop"], tuple(coefs)
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a nonnegative int; anything else is a ``ValueError`` naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return value
 
 
 def _finite_positive(name: str, value) -> None:
@@ -402,33 +450,27 @@ def ssa_run(
     "t_max" when simulated past the horizon, "absorbed" when no channel can
     fire (remaining samples hold the frozen state), "max_events" when the
     event budget ran out first (the sample record is truncated there).
-    ``fired`` counts the events of each channel.  Initial counts whose
-    propensities overflow (a total of inf or nan would stall the clock) are
-    a ``ValueError``.
+    ``fired`` counts the events of each channel.  ``counts`` is int64, and
+    ``events`` and each entry of ``fired`` are ints.
+
+    Initial counts that are not nonnegative integers, counts whose
+    propensities overflow (a total of inf or nan would stall the clock) and,
+    after that, a count above ``2**53 - 32768 * D``, where ``D`` is the
+    largest count change of one firing, are ``ValueError``s.  The event loop
+    holds counts as floats, exact only to 2**53, so it checks that bound
+    again every 32768 events and stops the run with the same error if a count
+    has passed it.
     """
     _finite_positive("t_max", t_max)
     if sample_dt is not None:
         _finite_positive("sample_dt", sample_dt)
     if max_events is not None:
-        try:
-            operator.index(max_events)
-        except TypeError:
-            raise ValueError(f"max_events must be an integer, got {max_events!r}") from None
-        if max_events < 0:
-            raise ValueError(f"max_events must be nonnegative, got {max_events!r}")
+        _count("max_events", max_events)
     species = system.species
     unknown = set(init) - set(species)
     if unknown:
         raise ValueError(f"init names species the system lacks: {sorted(map(str, unknown))}")
-    n = []
-    for sp in species:
-        try:
-            n.append(operator.index(init.get(sp, 0)))
-        except TypeError:
-            count = init[sp]
-            raise ValueError(f"initial count of {sp} must be an integer, got {count!r}") from None
-    if min(n) < 0:
-        raise ValueError("initial counts must be nonnegative")
+    n = [_count(f"initial count of {sp}", init.get(sp, 0)) for sp in species]
     if omega is None:
         omega = float(sum(n)) or 1.0
     _finite_positive("omega", omega)
@@ -472,6 +514,7 @@ def ssa_run(
     return SSAResult(
         species=species,
         times=np.asarray(times, dtype=float),
+        # the rows are the loop's float counts, integers below 2**53
         counts=np.asarray(rec_counts, dtype=np.int64).reshape(len(times), len(species)),
         events=events,
         t_end=t,
@@ -487,8 +530,16 @@ def count_oscillation_features(series, detrend: int = 0) -> int:
     ``detrend`` (odd, >= 3) subtracts a centred moving average of that width
     before counting, so the count measures peaks of the fluctuating component
     -- in steeply trending stretches the trend otherwise swamps every pulse.
+    A ``series`` that is not 1-D and a ``detrend`` that is not an integer are
+    ``ValueError``s.
     """
     x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"series must be 1-D, got shape {x.shape}")
+    try:
+        detrend = operator.index(detrend)
+    except TypeError:
+        raise ValueError(f"detrend must be an integer, got {detrend!r}") from None
     if detrend:
         if detrend < 3 or detrend % 2 == 0:
             raise ValueError("detrend width must be odd and at least 3")

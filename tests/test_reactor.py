@@ -154,6 +154,19 @@ def test_propensity_rejects_an_omega_that_puts_the_rate_out_of_range(omega):
         rc.propensity(rx, {"A": 5, "B": 5}, omega)
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [(2.7, "count of A must be an integer, got 2.7"),
+     (-1, "count of A must be nonnegative, got -1")],
+    ids=["fraction", "negative"],
+)
+def test_propensity_rejects_counts_that_are_not_counts(count, message):
+    # before the check, 2.7 was truncated to 2 and -1 gave (-1) * (-2) / 2 = 1.0
+    rx = rc.parse_reaction("2A -> S @ 1.0")
+    with pytest.raises(ValueError, match=message):
+        rc.propensity(rx, {"A": count}, 1.0)
+
+
 # -- ssa_run -----------------------------------------------------------------------
 
 
@@ -276,8 +289,10 @@ def test_run_input_validation():
         ({"A": 10.9}, "initial count of A must be an integer, got 10.9"),
         ({"B": 5.0}, "initial count of B must be an integer, got 5.0"),
         ({"S": "7"}, "initial count of S must be an integer"),
+        ({"A": 3, "B": -2}, "initial count of B must be nonnegative, got -2"),
     ],
-    ids=["lowercase-name", "two-unknown-names", "fraction", "integral-float", "string"],
+    ids=["lowercase-name", "two-unknown-names", "fraction", "integral-float", "string",
+         "negative"],
 )
 def test_run_rejects_unknown_species_and_non_integer_counts(init, message):
     # before the check, "a" started A at 0 and 10.9 started A at 10
@@ -371,6 +386,76 @@ def test_an_event_that_lands_exactly_on_t_max_fires_and_the_next_stops_the_run(m
     assert (res.events, res.reason, res.t_end, res.fired) == (1, "t_max", t_max, (1, 0))
     assert res.times.tolist() == [0.0, t_max]
     assert res.counts.tolist() == [[1, 0, 0], [1, 0, 0]]
+
+
+# the event loop counts in floats; from this bound a block of draws could take
+# a count of a one-step system past 2**53, where floats stop counting exactly
+_ONE_STEP_BOUND = 2**53 - rc._BLOCK // 2
+
+
+class _CountingGenerator:
+    """A Generator that counts the blocks of draws taken from it."""
+
+    def __init__(self, seed):
+        self.rng, self.blocks = np.random.default_rng(seed), 0
+
+    def random(self, size):
+        self.blocks += 1
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize(
+    "system, init, message",
+    [
+        (rc.parse_system("A -> S @ 1.0"), {"A": _ONE_STEP_BOUND + 1},
+         f"count of A is {_ONE_STEP_BOUND + 1}, above {_ONE_STEP_BOUND}"),
+        # 2A + 2B -> 3A + B moves A and B by one, 2A -> S moves A by two
+        (rc.parse_system("2A + 2B -> 3A + B @ 1.0\n2A -> S @ 1.0"),
+         {"B": 2**53 - rc._BLOCK + 1}, f"count of B is .*, above {2**53 - rc._BLOCK}"),
+        (rc.standard_system(), {"A": 2**53 + 1, "B": 5},
+         f"count of A is {2**53 + 1}, above {_ONE_STEP_BOUND}"),
+        # no law reads S, so no propensity overflows: only the count check
+        # sees a count that no float can hold
+        (rc.parse_system("A -> S @ 1.0"), {"A": 4, "S": 10**400}, "count of S is 1000"),
+    ],
+    ids=["one-past-the-bound", "two-step-bound", "2**53+1", "past-any-float"],
+)
+def test_run_rejects_initial_counts_that_floats_cannot_count(system, init, message):
+    rng = _CountingGenerator(0)
+    with pytest.raises(ValueError, match=message):
+        rc.ssa_run(system, init, 1.0, rng, max_events=10, omega=1.0)
+    assert rng.blocks == 0  # raised before the first draw, so before any event
+
+
+def test_a_count_that_passes_the_bound_stops_the_run_at_the_next_block():
+    # 0 -> A adds one A per event; starting 10 below the bound, the first
+    # block's 32768 events end 32758 above it, and 40000 events would end
+    # past 2**53
+    rng = _CountingGenerator(0)
+    past = _ONE_STEP_BOUND - 10 + rc._BLOCK // 2
+    with pytest.raises(ValueError, match=f"count of A is {past}, above {_ONE_STEP_BOUND}"):
+        rc.ssa_run(rc.parse_system("0 -> A @ 1.0"), {"A": _ONE_STEP_BOUND - 10}, 1e9, rng,
+                   max_events=40000)
+    assert rng.blocks == 1
+
+
+@pytest.mark.parametrize(
+    "init, t_max, kw, reason",
+    [
+        ({"A": 40, "B": 40, "S": 40}, 2.0, dict(sample_dt=0.5), "t_max"),
+        ({"A": 5}, 1000.0, dict(sample_dt=0.5), "absorbed"),
+        ({"A": 40, "B": 40, "S": 40}, 1000.0, dict(max_events=50), "max_events"),
+    ],
+    ids=["t_max", "absorbed", "max_events"],
+)
+def test_run_outputs_are_integers_however_the_run_ends(init, t_max, kw, reason):
+    # the loop counts in floats; comparing .tolist()s cannot tell 3.0 from 3
+    res = rc.ssa_run(rc.standard_system(), init, t_max, np.random.default_rng(0), **kw)
+    assert res.reason == reason and res.events > 0
+    assert res.counts.dtype == np.int64
+    assert all(type(v) is int for v in res.final_counts().values())
+    assert all(type(f) is int for f in res.fired)
+    assert type(res.events) is int
 
 
 def test_csv_layout():
@@ -528,10 +613,13 @@ def _direct_method(system, init, t_max, seed, sample_dt=None, max_events=None, o
          dict(max_events=30)),
         (_many_channel_system(2500, 1), {"A": 500, "B": 500, "S": 500}, 1e9, (8,),
          dict(max_events=3)),
+        # counts near 2**50, where floats still count exactly
+        (rc.standard_system(), {"A": 2**50 + 7, "B": 2**50 - 3, "S": 2**49}, 1e9, (15, 16),
+         dict(max_events=300)),
     ],
     ids=["standard-lattice", "standard-last-channel", "standard-budget",
          "standard-endpoints", "standard-lattice-past-t_max", "150-lattice",
-         "150-budget", "2500-budget"],
+         "150-budget", "2500-budget", "standard-2**50-budget"],
 )
 def test_whole_trajectories_match_a_plain_direct_method(system, init, t_max, seeds, kw):
     # every event's draws, rates and channel choice, not only the first
@@ -657,6 +745,23 @@ def test_feature_count_flat_and_linear_are_zero():
 def test_feature_count_validation():
     with pytest.raises(ValueError):
         rc.count_oscillation_features(np.zeros(50), detrend=4)
+
+
+@pytest.mark.parametrize(
+    "series, detrend, message",
+    [
+        (np.ones((2, 2)), 0, r"series must be 1-D, got shape \(2, 2\)"),
+        (7.0, 0, r"series must be 1-D, got shape \(\)"),
+        (np.zeros(50), 3.0, "detrend must be an integer, got 3.0"),
+        (np.zeros(50), "15", "detrend must be an integer, got '15'"),
+    ],
+    ids=["2-d", "scalar", "float-width", "string-width"],
+)
+def test_feature_count_rejects_a_series_that_is_not_1d_and_a_width_that_is_not_an_integer(
+        series, detrend, message):
+    # a (2, 2) array counted 0 peaks; detrend=3.0 failed inside the slicing
+    with pytest.raises(ValueError, match=message):
+        rc.count_oscillation_features(series, detrend=detrend)
 
 
 def test_feature_count_of_a_series_shorter_than_the_detrend_width_is_zero():
