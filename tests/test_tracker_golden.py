@@ -31,6 +31,12 @@ a torus BFS over ``hexgrid.neighborhood`` for components and dilations, the
 dilations' shared cells for proximity flags and the ``reach`` map, a BFS
 lift from each component's smallest cell for shapes and anchors, and the
 shapes of translated copies.
+
+Still windows, one grid held over the whole window and built directly as a
+``Trajectory`` at ``t0`` 5, have digests of their own, for ``track`` and for
+``_mobile_tracks``, over window lengths 1, 2, 3 and 60 and ``p_max`` 1, 2 and
+12.  Their grids are empty, a row around the torus, hand-placed flagged pairs,
+a seeded sparse grid and the still-pair soup's settled frame.
 """
 
 import gc
@@ -57,7 +63,7 @@ from hexreact.detector import (
     random_patch_grid,
     track,
 )
-from hexreact.engine import run
+from hexreact.engine import Trajectory, run
 from hexreact.hexgrid import (
     EVEN_ROW_NEIGHBORS,
     ODD_ROW_NEIGHBORS,
@@ -511,6 +517,94 @@ def test_still_pair_case_kills_two_tracks_on_every_frame():
     assert Counter(loc.loc_class for loc in locs) == {UNRESOLVED: 120, STILL_LIFE: 9}
 
 
+# -- still windows ---------------------------------------------------------------
+
+
+def _ring_grid():
+    cells = np.zeros((8, 10), dtype=np.uint8)
+    cells[3] = 2  # one row all the way around the torus
+    cells[6, 4:6] = 1  # and a domino well away from it
+    return Grid(cells)
+
+
+def _pairs_grid():
+    cells = np.zeros((12, 12), dtype=np.uint8)
+    cells[2, 2] = cells[2, 4] = 1  # two cells two apart: a flagged pair
+    cells[7, 3:5], cells[7, 6] = 2, 1  # a domino and a cell two apart: another pair
+    cells[10, 9] = 2  # a lone cell, unflagged
+    return Grid(cells)
+
+
+# one grid each, repeated over the whole window
+STILL_GRIDS = {
+    "empty": lambda: Grid.filled(10, 10),
+    "ring": _ring_grid,
+    "pairs": _pairs_grid,
+    "seeded": lambda: Grid(np.random.default_rng(3).choice(3, (12, 14), p=[0.9, 0.05, 0.05])),
+    "settled-soup": lambda: CASES["still-pair"]().frames[-1],
+}
+STILL_LENGTHS, STILL_P_MAXES, STILL_T0 = (1, 2, 3, 60), (1, 2, 12), 5
+
+# track's and _mobile_tracks' digests over every length and p_max, in that order
+STILL_GOLDEN = {
+    "empty": (
+        "9bc440220797d71666b6dd029f87e2bf0550d6d0c40b348a6ab4067a346ad32b",
+        "9bc440220797d71666b6dd029f87e2bf0550d6d0c40b348a6ab4067a346ad32b",
+    ),
+    "pairs": (
+        "3ef15618480c86e690e232def75b07b79264be46adae33a082434b4d8184f4fe",
+        "9bc440220797d71666b6dd029f87e2bf0550d6d0c40b348a6ab4067a346ad32b",
+    ),
+    "ring": (
+        "01257f02d1375232d38bff84ab352b899f9cf8ef9b3d009a9827e7794739eca4",
+        "9bc440220797d71666b6dd029f87e2bf0550d6d0c40b348a6ab4067a346ad32b",
+    ),
+    "seeded": (
+        "046919e05428116dff7298535359169143c1bbfe8ac35458acbacfd7733f5861",
+        "9bc440220797d71666b6dd029f87e2bf0550d6d0c40b348a6ab4067a346ad32b",
+    ),
+    "settled-soup": (
+        "3cf62795fffe38aa815ad68203fa542b9f0adb47f1ccae2f5d37f272f4b6cbab",
+        "9bc440220797d71666b6dd029f87e2bf0550d6d0c40b348a6ab4067a346ad32b",
+    ),
+}
+
+
+def _still_window(grid, n):
+    return Trajectory([grid.copy() for _ in range(n)], STILL_T0)
+
+
+def still_digest(tracker, grid) -> str:
+    """sha256 over ``tracker``'s output on ``grid`` held still, for every length and p_max."""
+    h = hashlib.sha256()
+    for n, p_max in itertools.product(STILL_LENGTHS, STILL_P_MAXES):
+        locs = tracker(_still_window(grid, n), p_max)
+        h.update(f"{n},{p_max}:{localizations_digest(locs)};".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(STILL_GRIDS))
+def test_golden_still_windows(name):
+    grid = STILL_GRIDS[name]()
+    digests = still_digest(track, grid), still_digest(detector._mobile_tracks, grid)
+    assert digests == STILL_GOLDEN[name]
+
+
+def test_still_grids_cover_empty_spanning_flagged_and_lone_components():
+    frames = {name: detector._scan(make().cells[None])[0] for name, make in STILL_GRIDS.items()}
+    h, w = _ring_grid().shape
+    assert len(frames["empty"]) == 0
+    assert _spans(_run(frames["ring"], 0), h, w) and not frames["ring"].clash.any()
+    for name in ("pairs", "seeded", "settled-soup"):
+        assert 0 < frames[name].clash.sum() < len(frames[name]), name
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(f'    "{name}": "{localizations_digest(track(CASES[name]()))}",')
+    for name in sorted(STILL_GRIDS):
+        grid = STILL_GRIDS[name]()
+        print(f'    "{name}": (')
+        for tracker in (track, detector._mobile_tracks):
+            print(f'        "{still_digest(tracker, grid)}",')
+        print("    ),")
