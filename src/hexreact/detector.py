@@ -50,6 +50,17 @@ takes from ``_links`` for the rest of the window, keyed by the pair of
 first-occurrence ids, and a repeated pair of grids reuses it.  A step holds
 lists and anchor steps, no frame, so it keeps no frame alive.
 
+A still window, whose frames are all one grid (most settled soups of a class
+sweep), skips even that.  ``_first_ids``, the byte keys ``_frames`` reads,
+shows it, and ``_ends`` hands the window to ``_still_ends``, which scans the
+grid once and writes every track in closed form.  Each flagged component ends
+by proximity on every frame, as a one-frame track.  Each unflagged component
+is one track over the whole window: its shape on every frame, its anchor
+still, and no trail, because its dilation holds no other component's cell,
+so the corridor it sweeps holds no debris.  The mobile path yields nothing
+from a still window.  Windows that settle partway, and periodic ones, take
+the general loop.
+
 A ``_Frame`` holds only what the block pass computes; ``_ends`` owns the
 window's state, the grid's ``_steps`` table among it.  It visits a frame's
 candidates in one loop, where each extends over its clean link or ends, then
@@ -294,10 +305,16 @@ def _scan(block: np.ndarray, shaped: str = "all") -> list[_Frame]:
     return frames
 
 
-def _frames(tr: Trajectory, shaped: str):
-    """Yield ``(first, frame)`` for each frame of ``tr``: ``first`` is the index of
-    the first frame with the same grid, and ``frame`` its ``_Frame`` (shapes as
-    ``_scan``'s ``shaped`` says).
+def _first_ids(tr: Trajectory) -> list[int]:
+    """Per frame of ``tr``, the index of the first frame with the same grid, keyed by its bytes."""
+    firsts: dict[bytes, int] = {}
+    return [firsts.setdefault(grid.cells.tobytes(), t) for t, grid in enumerate(tr.frames)]
+
+
+def _frames(tr: Trajectory, ids: list[int], shaped: str):
+    """Yield ``(first, frame)`` for each frame of ``tr``: ``first`` is ``ids[t]``, the index
+    of the first frame with the same grid (``_first_ids``), and ``frame`` its ``_Frame``
+    (shapes as ``_scan``'s ``shaped`` says).
 
     Only first occurrences are scanned, in blocks of up to ``_BLOCK_CELLS`` non-S
     cells or of one frame; a repeated grid gets the ``_Frame`` of its first
@@ -306,10 +323,8 @@ def _frames(tr: Trajectory, shaped: str):
     until the last occurrence of its grid, so a window with no repeated grid
     holds no more frames than before, and blocks are still scanned lazily.
     """
-    firsts: dict[bytes, int] = {}
-    ids = [firsts.setdefault(grid.cells.tobytes(), t) for t, grid in enumerate(tr.frames)]
-    last = {first: t for t, first in enumerate(ids)}
-    scanned = _scanned(np.stack([tr.frames[t].cells for t in firsts.values()]), shaped)
+    last = {first: t for t, first in enumerate(ids)}  # keys: the first occurrences, in order
+    scanned = _scanned(np.stack([tr.frames[t].cells for t in last]), shaped)
     kept: dict[int, _Frame] = {}
     for t, first in enumerate(ids):
         frame = next(scanned) if first == t else kept.pop(first)
@@ -598,6 +613,51 @@ class _Track:
             self.loc.trail_size = int(hits[1].sum())
 
 
+def _lone(t: int, frame: _Frame, k: int, reason, p_max: int) -> Localization:
+    """The finished Localization of a track that lived on frame ``t`` alone, on component ``k``.
+
+    It is Unresolved with no period, as ``classify`` would find: a period
+    needs two frames.
+    """
+    lo, hi = frame.bounds[k], frame.bounds[k + 1]
+    return Localization(
+        t, [frame.shapes[k]], [(0, 0)], frame.cells[lo:hi], frame.states[lo:hi],
+        terminated=reason, p_max=p_max, loc_class=UNRESOLVED,
+    )
+
+
+def _still_ends(tr: Trajectory, p_max: int):
+    """``_ends``' full path on a still window (one grid on every frame), from one scan.
+
+    A flagged component ends by proximity on every frame, each time as a
+    track of that frame alone.  An unflagged component's dilation holds no
+    other component's cell, so on every next frame it links cleanly onto
+    itself with anchor step (0, 0): it is one track over the whole window,
+    its shape on every frame and its anchor still.  That track has no trail,
+    since the corridor it swept is its own dilation, which holds no non-S
+    cell but its own.  ``classify`` finds period 1 and displacement (0, 0),
+    a StillLife, once the window has two frames, and with one frame the track
+    is Unresolved.  The ends come in the general loop's order: per frame,
+    the proximity ends in component order, then after the last frame the
+    unflagged tracks in component order.
+    """
+    frame = _scan(tr.frames[0].cells[None])[0]
+    n, t0 = len(tr.frames), tr.t0
+    flagged = np.flatnonzero(frame.clash).tolist()
+    for t in range(t0, t0 + n):
+        for k in flagged:
+            yield _lone(t, frame, k, "proximity", p_max)
+    for k in np.flatnonzero(~frame.clash).tolist():
+        if n == 1:
+            yield _lone(t0, frame, k, None, p_max)
+            continue
+        lo, hi = frame.bounds[k], frame.bounds[k + 1]
+        yield Localization(
+            t0, [frame.shapes[k]] * n, [(0, 0)] * n, frame.cells[lo:hi], frame.states[lo:hi],
+            p_max=p_max, period=1, displacement=(0, 0), loc_class=STILL_LIFE,
+        )
+
+
 def _ends(tr: Trajectory, p_max: int, shaped: str):
     """Yield each track of ``tr`` as it ends, finished and classified, in discovery order.
 
@@ -606,8 +666,11 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
     ``_Track`` (or builds the Localization of a track that lived on that frame
     alone), measures its trail over the window's ``_steps`` table, sets its
     last cells and states and its reason, and classifies it.  Frames are
-    scanned with ``_scan``'s ``shaped``.  The ``p_max`` check runs on the
-    first ``next``, and so does ``_scan``'s grid check.
+    scanned with ``_scan``'s ``shaped``.  The ``p_max`` and grid-height checks
+    run on the first ``next``, before any frame is scanned.  A still window
+    (every ``_first_ids`` entry 0) goes to ``_still_ends`` on the full path
+    and yields nothing on the mobile path; every other window takes the loop
+    below.
 
     A track continues where its component has one successor that no other
     component claims and that has an anchor: a clean link.  On the full path
@@ -636,26 +699,32 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
         raise ValueError(f"p_max must be an integer, got {p_max!r}") from None
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
+    _require_even_height(h)
+
+    every = shaped != "unflagged"  # the full path yields every end
+    ids = _first_ids(tr)
+    if not any(ids):  # one grid on every frame
+        if every:
+            yield from _still_ends(tr, p_max)
+        return  # a still window holds no mobile track
 
     table = _steps(h, w)
 
     def end(trk: _Track | None, t: int, frame: _Frame, k: int, reason) -> Localization:
         if trk is None:
-            loc = Localization(t, [frame.shapes[k]], [(0, 0)], p_max=p_max)
-        else:
-            trk._measure_trail(table)
-            loc = trk.loc
+            return _lone(t, frame, k, reason, p_max)
+        trk._measure_trail(table)
+        loc = trk.loc
         lo, hi = frame.bounds[k], frame.bounds[k + 1]
         loc.cells_last, loc.states_last = frame.cells[lo:hi], frame.states[lo:hi]
         loc.terminated = reason
         classify(loc)
         return loc
 
-    every = shaped != "unflagged"  # the full path yields every end
     live: dict[int, _Track | None] = {}  # every unflagged component of prev: its track, or None
     steps: dict[tuple[int, int], tuple] = {}  # link steps, by the pair of first-occurrence ids
     prev = prev_id = None
-    for t, (frame_id, frame) in enumerate(_frames(tr, shaped), start=tr.t0):
+    for t, (frame_id, frame) in enumerate(_frames(tr, ids, shaped), start=tr.t0):
         nxt: dict[int, _Track | None] = {}
         if live:
             step = steps.get((prev_id, frame_id))
@@ -709,6 +778,13 @@ def track(tr: Trajectory, p_max: int = 12) -> list[Localization]:
     start wherever no clean predecessor exists.  The tracks proximity ends on
     one frame end in component order (ascending smallest cell), so the
     returned order depends on the grids alone.
+
+    A window whose frames are all one grid is tracked from one scan of it,
+    with the same result: each component in proximity ends on every frame,
+    and each other component is one StillLife track over the window
+    (Unresolved if the window has one frame).  Such a track has no trail:
+    its dilation holds no other component's cell, so the corridor it swept
+    holds no debris.
 
     Returns one classified Localization per track, as ``_ends`` yields them,
     in a stable sort by ``first_frame`` (frame order, then discovery order);
@@ -799,11 +875,9 @@ def random_patch_grid(cfg: FitnessConfig, rng: np.random.Generator) -> Grid:
     cells = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
     r0 = (cfg.height - cfg.patch_height) // 2
     c0 = (cfg.width - cfg.patch_width) // 2
-    patch = rng.choice(
-        3,
-        size=(cfg.patch_height, cfg.patch_width),
-        p=[1.0 - cfg.p_a - cfg.p_b, cfg.p_a, cfg.p_b],
-    )
+    # p_a + p_b may be 1 and the difference still round below zero (0.07 and 0.93)
+    p_s = max(0.0, 1.0 - cfg.p_a - cfg.p_b)
+    patch = rng.choice(3, size=(cfg.patch_height, cfg.patch_width), p=[p_s, cfg.p_a, cfg.p_b])
     cells[r0 : r0 + cfg.patch_height, c0 : c0 + cfg.patch_width] = patch
     return Grid(cells)
 

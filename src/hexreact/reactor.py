@@ -486,18 +486,18 @@ def ssa_run(
         lattice = [0.0, float(t_max)]
     else:
         lattice = [k * sample_dt for k in range(int(math.floor(t_max / sample_dt)) + 1)]
+        # the last k * sample_dt can round one ulp past t_max (5 * 2.87 > 14.35)
+        lattice[-1] = min(lattice[-1], float(t_max))
         if lattice[-1] < t_max:
             lattice.append(float(t_max))
     rec_counts: list[tuple] = []
     loop, coefs = _event_loop(system, omega, max_events is not None)
     # the loop records the pre-event state at every lattice point it jumps
     # across.  The sentinel one ulp past t_max ends that scan without a
-    # bounds test, and any step beyond t_max reaches it.  A last point that
-    # rounding put above t_max is left out: the loop could never record it.
+    # bounds test, and any step beyond t_max reaches it.
     sentinel = math.nextafter(t_max, math.inf)
     n, t, events, reason, fired = loop(
-        coefs, n, t_max, max_events,
-        [p for p in lattice if p <= t_max] + [sentinel], rng, rec_counts,
+        coefs, n, t_max, max_events, lattice + [sentinel], rng, rec_counts
     )
 
     if reason == "max_events":

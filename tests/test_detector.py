@@ -423,6 +423,29 @@ def test_track_rejects_a_non_integer_p_max_before_scanning(p_max, monkeypatch):
             tracker(tr, p_max)
 
 
+def _three_frames(h, still):
+    """Three frames of an ``h`` x 6 torus: an A cell, and a B cell that stays or moves."""
+    frames = [grid_with(h, 6, {(1, 1): 1, (3, 0 if still else k): 2}) for k in range(3)]
+    return make_trajectory(frames)
+
+
+@pytest.mark.parametrize("still", [True, False], ids=["still", "moving"])
+@pytest.mark.parametrize(
+    "h, p_max, match",
+    [(5, 12, "even grid height"), (6, 0, "p_max must be >= 1"), (6, 2.5, "must be an integer")],
+    ids=["odd-height", "p_max-0", "p_max-2.5"],
+)
+def test_boundary_errors_come_before_any_track(still, h, p_max, match):
+    tr = _three_frames(h, still)
+    assert len({grid.cells.tobytes() for grid in tr.frames}) == (1 if still else 3)
+    for tracker in (track, detector._mobile_tracks):
+        with pytest.raises(ValueError, match=match):
+            tracker(tr, p_max)
+    for shaped in ("all", "unflagged"):
+        with pytest.raises(ValueError, match=match):
+            next(detector._ends(tr, p_max, shaped))
+
+
 # -- fitness --------------------------------------------------------------------
 
 
@@ -560,6 +583,21 @@ def test_random_patch_grid_confines_seeding_to_the_patch():
     outside = g.cells.copy()
     outside[12:20, 12:20] = 0
     assert outside.sum() == 0
+
+
+def test_a_patch_with_no_substrate_draws_none():
+    # 1.0 - 0.07 - 0.93 rounds to -1.1e-16, which numpy rejects as a probability;
+    # every two-decimal pair that sums to one must give a patch without S
+    drawn = 0
+    for i in range(101):
+        p_a, p_b = i / 100, (100 - i) / 100
+        if p_a + p_b > 1:
+            continue  # FitnessConfig rejects the pair
+        cfg = FitnessConfig(width=8, height=8, patch_width=4, patch_height=4, p_a=p_a, p_b=p_b)
+        patch = random_patch_grid(cfg, np.random.default_rng(i)).cells[2:6, 2:6]
+        assert patch.all(), (p_a, p_b)
+        drawn += 1
+    assert drawn > 80
 
 
 def test_count_mobile_respects_the_puffer_flag():

@@ -214,6 +214,19 @@ def test_sample_lattice_layout():
     assert res.t_end == 1.0
 
 
+def test_the_last_sample_sits_at_t_max():
+    # 5 * 2.87 rounds to 14.350000000000001, one ulp past t_max
+    res = rc.ssa_run(
+        rc.standard_system(),
+        {"A": 30, "B": 30, "S": 30},
+        14.35,
+        np.random.default_rng(12),
+        sample_dt=2.87,
+    )
+    assert len(res.times) == 6
+    assert res.times[-1] == 14.35
+
+
 def test_determinism_per_seed():
     kw = dict(t_max=15.0, sample_dt=0.25)
     a = rc.ssa_run(rc.standard_system(), {"A": 200, "B": 200, "S": 200},
@@ -548,6 +561,7 @@ def _direct_method(system, init, t_max, seed, sample_dt=None, max_events=None, o
         lattice = [0.0, float(t_max)]
     else:
         lattice = [k * sample_dt for k in range(int(math.floor(t_max / sample_dt)) + 1)]
+        lattice[-1] = min(lattice[-1], float(t_max))
         if lattice[-1] < t_max:
             lattice.append(float(t_max))
     budget = math.inf if max_events is None else max_events
@@ -604,7 +618,8 @@ def _direct_method(system, init, t_max, seed, sample_dt=None, max_events=None, o
         # no budget and no lattice: both runs end by t_max
         (rc.standard_system(), {"A": 200, "B": 100, "S": 50}, 2.0, (10, 11),
          dict(sample_dt=None)),
-        # 5 * 2.87 rounds to one ulp above t_max = 14.35, the lattice's last point
+        # 5 * 2.87 rounds to one ulp above t_max = 14.35; the lattice's last point is
+        # clamped to t_max
         (rc.standard_system(), {"A": 30, "B": 30, "S": 30}, 14.35, (12, 13),
          dict(sample_dt=2.87)),
         (_many_channel_system(150, 0), {"A": 40, "B": 30, "S": 20}, 0.1, (5, 6),

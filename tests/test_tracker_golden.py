@@ -195,11 +195,11 @@ def test_golden_tracker_outputs_do_not_depend_on_blocks(name, budget, monkeypatc
     cut = [[key] for key in distinct] if budget == 0 else [distinct]
     assert blocks == cut
     # the mobile path, which shapes only unflagged components, cuts alike and keeps
-    # exactly track's mobile tracks
+    # exactly track's mobile tracks; a still window holds none, and it scans nothing
     blocks.clear()
     mobile = [loc for loc in locs if loc.loc_class in MOBILE_CLASSES]
     assert localizations_digest(detector._mobile_tracks(tr, 12)) == localizations_digest(mobile)
-    assert blocks == cut
+    assert blocks == (cut if len(distinct) > 1 else [])
 
 
 def _count_calls(monkeypatch, *names):
@@ -216,9 +216,10 @@ def _count_calls(monkeypatch, *names):
 
 
 # scans and _links calls per window (60 frames each; the lone glider's 121 frames
-# hold 96 distinct grids, and 96 distinct pairs of consecutive grids)
+# hold 96 distinct grids, and 96 distinct pairs of consecutive grids); a still
+# window's tracks come from its one scan, with no link
 SETTLED_CALLS = {
-    "still-pair": (1, 1),
+    "still-pair": (1, 0),
     "period-2": (1, 1),
     "period-8": (1, 6),
     "lone-glider": (1, 96),
@@ -270,7 +271,8 @@ def test_frames_keep_a_scanned_frame_only_while_its_grid_recurs(name, most, monk
     tr = CASES[name]()
     gc.collect()
     before = _live_frames()
-    assert max(_live_frames() - before for _ in detector._frames(tr, "all")) == most
+    frames = detector._frames(tr, detector._first_ids(tr), "all")
+    assert max(_live_frames() - before for _ in frames) == most
 
 
 # -- the block pass ------------------------------------------------------------
@@ -283,13 +285,24 @@ def test_a_frame_holds_only_what_the_block_pass_computes():
     assert detector._Frame.__slots__ == FRAME_FIELDS
 
 
+# empty, full, sparse or dense frames
+_KINDS = [st.just(0), st.integers(1, 2), st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, 2)]
+
+
 @st.composite
 def frame_stacks(draw):
-    """A few frames of one even-height torus: empty, full, sparse or dense ones."""
+    """A few frames of one even-height torus, each of one of ``_KINDS``."""
     h, w = 2 * draw(st.integers(1, 5)), draw(st.integers(1, 10))
-    kinds = [st.just(0), st.integers(1, 2), st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, 2)]
-    states = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
+    states = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=5))
     return np.stack([draw(arrays(np.uint8, (h, w), elements=s, fill=st.nothing())) for s in states])
+
+
+@st.composite
+def grids(draw):
+    """A ``Grid`` of at least 4x3 cells, of one of ``_KINDS``."""
+    h, w = 2 * draw(st.integers(2, 5)), draw(st.integers(3, 10))
+    kind = draw(st.sampled_from(_KINDS))
+    return Grid(draw(arrays(np.uint8, (h, w), elements=kind, fill=st.nothing())))
 
 
 def _same_frame(got, want, shaped="all") -> None:
@@ -570,15 +583,11 @@ STILL_GOLDEN = {
 }
 
 
-def _still_window(grid, n):
-    return Trajectory([grid.copy() for _ in range(n)], STILL_T0)
-
-
 def still_digest(tracker, grid) -> str:
     """sha256 over ``tracker``'s output on ``grid`` held still, for every length and p_max."""
     h = hashlib.sha256()
     for n, p_max in itertools.product(STILL_LENGTHS, STILL_P_MAXES):
-        locs = tracker(_still_window(grid, n), p_max)
+        locs = tracker(Trajectory([grid.copy() for _ in range(n)], STILL_T0), p_max)
         h.update(f"{n},{p_max}:{localizations_digest(locs)};".encode())
     return h.hexdigest()
 
@@ -588,6 +597,24 @@ def test_golden_still_windows(name):
     grid = STILL_GRIDS[name]()
     digests = still_digest(track, grid), still_digest(detector._mobile_tracks, grid)
     assert digests == STILL_GOLDEN[name]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(grids(), st.integers(1, 7), st.integers(0, 400), st.integers(1, 12))
+def test_still_windows_match_the_general_loop(grid, n, t0, p_max):
+    def no_links(*args):
+        raise AssertionError("a still window was linked")
+
+    tr = Trajectory([grid.copy() for _ in range(n)], t0)
+    trackers = (track, detector._mobile_tracks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "_links", no_links)
+        closed = [localizations_digest(tracker(tr, p_max)) for tracker in trackers]
+    # every frame counted as a grid of its own takes the general loop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "_first_ids", lambda tr: list(range(len(tr))))
+        general = [localizations_digest(tracker(tr, p_max)) for tracker in trackers]
+    assert closed == general
 
 
 def test_still_grids_cover_empty_spanning_flagged_and_lone_components():
