@@ -40,6 +40,17 @@ Localization.
 ``extract_components`` is the pass over a one-frame block, cut into its
 components, and ``canonical_shape`` runs ``_shapes`` on one component.
 
+A canonical shape is a tuple of ``(dr, dq, state)`` triples, and the shapes
+of a run repeat a few triples over and over: one class-sweep operation
+shapes tens of thousands of cells from under two thousand distinct
+triples.  A fresh tuple per shaped cell is garbage that triggers CPython's
+cyclic collector, which then traverses it: about a tenth of that
+operation's time.  So ``_shapes`` packs each cell's triple into an integer
+code in numpy and reads its tuple from one shared table, ``_TRIPLES``,
+which builds each distinct triple once.  That is exact: a shared tuple
+holds the Python ints a fresh one would, so every shape, comparison, hash
+and ``repr`` is unchanged.
+
 A settled soup's window repeats a few grids over and over, so ``track`` does
 each grid's work once.  ``_frames`` keys every frame by its bytes and scans
 only first occurrences; a repeated frame gets the ``_Frame`` scanned at its
@@ -426,12 +437,65 @@ def _lift(cells: np.ndarray, comp: np.ndarray, bounds: np.ndarray, h: int, w: in
     return rows, cols
 
 
+class _Triples:
+    """One shared ``(dr, dq, state)`` tuple per distinct triple of the canonical shapes.
+
+    ``parts`` is ``(table, built, rows, cols)``.  A triple with
+    ``0 <= dr < rows`` and ``-cols <= dq < cols`` has the code
+    ``(dr * 2 * cols + dq + cols) * 3 + state``; ``table`` holds its tuple at
+    that index once ``built`` marks the code.  ``take`` packs every cell of a
+    block into its code in numpy, fills the codes not built yet in one
+    vectorised step, and reads the tuples with one ``take``.  A block whose
+    triples leave the extents (``_unwrap``'s coordinates can leave the range
+    ``_lift`` gives) grows them to fit, in a new, empty table.  A tuple holds
+    the Python ints a fresh one would, so sharing it changes no shape,
+    comparison, hash or ``repr``, and no result depends on what the table
+    holds.  ``take`` reads ``parts`` once and replaces it whole, and it
+    writes a tuple before marking it built, so callers in several threads
+    each see a consistent table.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self):
+        self.parts = np.empty(0, dtype=object), np.zeros(0, dtype=bool), 0, 0
+
+    def take(self, dr: np.ndarray, dq: np.ndarray, states: np.ndarray) -> list[tuple]:
+        """The triples of cells with rows ``dr`` (all >= 0), axial columns ``dq`` and ``states``."""
+        table, built, rows, cols = self.parts
+        need_rows, need_cols = int(dr.max()) + 1, max(-int(dq.min()), int(dq.max()) + 1)
+        if need_rows > rows or need_cols > cols:
+            rows, cols = max(need_rows, rows), max(need_cols, cols)
+            size = rows * cols * 6
+            table, built = np.empty(size, dtype=object), np.zeros(size, dtype=bool)
+            self.parts = table, built, rows, cols
+        span = 2 * cols
+        code = (dr * span + dq + cols) * 3 + states
+        new = code[~built[code]]
+        if len(new):
+            new = _unique(new)
+            rest, st = np.divmod(new, 3)
+            r, d = np.divmod(rest, span)
+            fresh = zip(r.tolist(), (d - cols).tolist(), st.tolist())
+            table[new] = np.fromiter(fresh, dtype=object, count=len(new))
+            built[new] = True
+        return table.take(code).tolist()
+
+
+# the triples every canonical shape is built from
+_TRIPLES = _Triples()
+
+
 def _shapes(
     cells: np.ndarray, states: np.ndarray, bounds: np.ndarray, h: int, w: int
 ) -> tuple[list[tuple], list[int]]:
     """Canonical shape and anchor of every component (see ``canonical_shape``).
 
-    Components are runs ``cells[bounds[k]:bounds[k + 1]]``, each sorted.
+    Components are runs ``cells[bounds[k]:bounds[k + 1]]``, each sorted.  The
+    triples come from the shared ``_TRIPLES``, not as a fresh tuple per cell:
+    in a class sweep those fresh tuples are most of what triggers CPython's
+    cyclic garbage collector, and a shared tuple holds the same Python ints,
+    so every shape is exactly what fresh tuples would give.
     """
     if not len(cells):
         return [], []
@@ -444,9 +508,8 @@ def _shapes(
     rows, q = rows - rows.min(), q - q.min()
     order = np.argsort((comp * (rows.max() + 1) + rows) * (q.max() + 1) + q)
     origin = order[starts]
-    dr = (rows[order] - rows[origin][comp]).tolist()
-    dq = (q[order] - q[origin][comp]).tolist()
-    triples = list(zip(dr, dq, states[order].tolist()))
+    dr, dq = rows[order] - rows[origin][comp], q[order] - q[origin][comp]
+    triples = _TRIPLES.take(dr, dq, states[order])
     shapes = [tuple(triples[lo:hi]) for lo, hi in zip(starts.tolist(), bounds[1:].tolist())]
     return shapes, cells[origin].tolist()
 
@@ -495,14 +558,16 @@ def _axial_delta(a0: int, a1: int, h: int, w: int) -> tuple[int, int]:
 # -- tracks and localizations -------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Localization:
     """One pattern followed over a window of frames.
 
     ``shapes`` and ``anchors`` run frame by frame; anchors accumulate the
     per-step axial displacement, so differences of anchors are true travel
     vectors even across torus wraps.  ``classify`` fills in ``period``,
-    ``displacement`` and ``loc_class``.
+    ``displacement`` and ``loc_class``.  The class is slotted: an instance
+    has no ``__dict__`` and takes no attribute but these fields, which keeps
+    each of the thousands a class sweep builds small and cheap to make.
     """
 
     first_frame: int
@@ -619,10 +684,10 @@ def _lone(t: int, frame: _Frame, k: int, reason, p_max: int) -> Localization:
     It is Unresolved with no period, as ``classify`` would find: a period
     needs two frames.
     """
-    lo, hi = frame.bounds[k], frame.bounds[k + 1]
+    lo, hi = frame.bounds.item(k), frame.bounds.item(k + 1)
     return Localization(
         t, [frame.shapes[k]], [(0, 0)], frame.cells[lo:hi], frame.states[lo:hi],
-        terminated=reason, p_max=p_max, loc_class=UNRESOLVED,
+        reason, p_max, False, 0, None, None, UNRESOLVED,
     )
 
 
@@ -639,9 +704,13 @@ def _still_ends(tr: Trajectory, p_max: int):
     a StillLife, once the window has two frames, and with one frame the track
     is Unresolved.  The ends come in the general loop's order: per frame,
     the proximity ends in component order, then after the last frame the
-    unflagged tracks in component order.
+    unflagged tracks in component order.  An empty grid holds no track, and
+    its window is not scanned.
     """
-    frame = _scan(tr.frames[0].cells[None])[0]
+    cells = tr.frames[0].cells
+    if not cells.any():
+        return
+    frame = _scan(cells[None])[0]
     n, t0 = len(tr.frames), tr.t0
     flagged = np.flatnonzero(frame.clash).tolist()
     for t in range(t0, t0 + n):

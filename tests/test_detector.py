@@ -1,6 +1,9 @@
 """Localization tracking oracles: hand-built trajectories with known answers."""
 
+import copy
+import pickle
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -609,6 +612,28 @@ def test_count_mobile_respects_the_puffer_flag():
     c.loc_class = STILL_LIFE
     assert count_mobile([a, b, c]) == 2
     assert count_mobile([a, b, c], count_puffers=False) == 1
+
+
+def test_localization_is_slotted():
+    loc = Localization(first_frame=0)
+    assert not hasattr(loc, "__dict__")
+    with pytest.raises(AttributeError):
+        loc.note = "ad hoc"
+
+
+def test_localizations_round_trip_through_pickle_and_deepcopy():
+    locs = soup_localizations(RuleMatrix.from_genome(PUFFER_RULE), FitnessConfig(), 3)
+    assert {loc.loc_class for loc in locs} >= {PUFFER_TRAIN, UNRESOLVED}
+    assert {loc.terminated for loc in locs} >= {None, "proximity"}
+    for loc in locs:
+        for twin in (pickle.loads(pickle.dumps(loc)), copy.deepcopy(loc)):
+            assert type(twin) is Localization
+            for f in fields(Localization):
+                a, b = getattr(loc, f.name), getattr(twin, f.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+                else:
+                    assert a == b, f.name
 
 
 def test_report_rows_format():

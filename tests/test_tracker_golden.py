@@ -32,11 +32,18 @@ dilations' shared cells for proximity flags and the ``reach`` map, a BFS
 lift from each component's smallest cell for shapes and anchors, and the
 shapes of translated copies.
 
+Canonical shapes share one tuple per distinct triple (``detector._Triples``).
+A property test checks ``_shapes`` on random blocks with seam and spanning
+components against a fresh tuple per cell, from the shared table and from an
+empty one, and the golden digests are checked from an empty table, with
+grid sizes interleaved.
+
 Still windows, one grid held over the whole window and built directly as a
 ``Trajectory`` at ``t0`` 5, have digests of their own, for ``track`` and for
 ``_mobile_tracks``, over window lengths 1, 2, 3 and 60 and ``p_max`` 1, 2 and
 12.  Their grids are empty, a row around the torus, hand-placed flagged pairs,
-a seeded sparse grid and the still-pair soup's settled frame.
+a seeded sparse grid and the still-pair soup's settled frame.  An empty
+still window is not scanned.
 """
 
 import gc
@@ -530,6 +537,98 @@ def test_still_pair_case_kills_two_tracks_on_every_frame():
     assert Counter(loc.loc_class for loc in locs) == {UNRESOLVED: 120, STILL_LIFE: 9}
 
 
+# -- shared triples ----------------------------------------------------------------
+
+
+class _NaiveTriples:
+    """A fresh tuple per shaped cell, as ``_shapes`` built them before ``_Triples``."""
+
+    @staticmethod
+    def take(dr, dq, states):
+        return list(zip(dr.tolist(), dq.tolist(), states.tolist()))
+
+
+def _block_runs(stack):
+    """Every component of ``stack``'s frames as ``_shapes`` takes them: cells, states, bounds."""
+    frames = detector._scan(stack, "none")
+    sizes = np.concatenate([np.diff(f.bounds) for f in frames])
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    cells = np.concatenate([f.cells for f in frames])
+    return cells, np.concatenate([f.states for f in frames]), bounds
+
+
+@st.composite
+def two_state_stacks(draw):
+    """``frame_stacks`` with its first two cells set to A and B, so both states occur."""
+    stack = draw(frame_stacks())
+    stack.flat[:2] = 1, 2
+    return stack
+
+
+_SEAMS = np.zeros((4, 6), dtype=np.uint8)
+_SEAMS[0, 2], _SEAMS[3, 2] = 1, 2  # joined across the row seam
+_SEAMS[1, 0], _SEAMS[1, 5] = 2, 1  # joined across the column seam
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(two_state_stacks(), st.booleans())
+@example(np.stack([_SEAMS, _RING, np.ones_like(_RING)]), True)
+@example(np.stack([_SEAMS, _RING, np.ones_like(_RING)]), False)
+def test_shapes_share_triples_of_python_ints(stack, cold):
+    _, h, w = stack.shape
+    runs = _block_runs(stack)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "_TRIPLES", _NaiveTriples)
+        want = detector._shapes(*runs, h, w)
+    with pytest.MonkeyPatch.context() as mp:
+        if cold:  # an empty table: every triple is filled, after the extents grow
+            mp.setattr(detector, "_TRIPLES", detector._Triples())
+        got = detector._shapes(*runs, h, w)
+        assert detector._shapes(*runs, h, w) == want  # and again, from the filled table
+    assert got == want
+    triples = [t for shape in got[0] for t in shape]
+    assert all(type(t) is tuple and len(t) == 3 for t in triples)
+    assert all(type(x) is int for t in triples for x in t)  # not numpy scalars: repr is stable
+    assert len({id(t) for t in triples}) == len(set(triples))  # equal triples are one tuple
+
+
+_TRIPLE = st.tuples(st.integers(0, 6), st.integers(-7, 7), st.integers(1, 2))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.lists(_TRIPLE, min_size=1, max_size=12), min_size=1, max_size=6))
+# from extents dr < 2, -2 <= dq < 2: one past the lowest dq, one past the highest, one
+# past the last row, and then blocks that fit the grown extents exactly
+@example([[(1, 1, 1)], [(1, -3, 2)], [(1, 3, 1)], [(2, 0, 1)], [(2, -4, 2), (0, 3, 1)]])
+def test_triples_table_grows_to_each_block(blocks):
+    # one table over blocks of random extents, so each edge of the extents is crossed
+    triples = detector._Triples()
+    for block in blocks:
+        dr, dq, states = (np.array(column) for column in zip(*block))
+        got = triples.take(dr, dq, states.astype(np.uint8))
+        assert got == block
+        assert all(type(x) is int for t in got for x in t)
+
+
+def test_shared_triples_examples_cover_seams_and_spanning_components():
+    frame_seams, frame_ring = detector._scan(np.stack([_SEAMS, _RING]), "none")
+    h, w = _SEAMS.shape
+    crossings = [_crosses(_run(frame_seams, k), h, w) for k in range(len(frame_seams))]
+    assert crossings == [(True, False), (False, True)]  # the row seam, then the column seam
+    assert _spans(_run(frame_ring, 0), h, w)
+
+
+def test_golden_digests_do_not_depend_on_the_triples_table(monkeypatch):
+    # each case from an empty table, then 64x64, 30x30 and a 16x16 spanning torus
+    # interleaved, from an empty table and again warm
+    for name in sorted(CASES):
+        monkeypatch.setattr(detector, "_TRIPLES", detector._Triples())
+        assert localizations_digest(track(CASES[name]())) == GOLDEN[name], name
+    monkeypatch.setattr(detector, "_TRIPLES", detector._Triples())
+    for name in ("bundled-soup", "still-pair", "spanning-torus") * 2:
+        assert localizations_digest(track(CASES[name]())) == GOLDEN[name], name
+
+
 # -- still windows ---------------------------------------------------------------
 
 
@@ -615,6 +714,14 @@ def test_still_windows_match_the_general_loop(grid, n, t0, p_max):
         mp.setattr(detector, "_first_ids", lambda tr: list(range(len(tr))))
         general = [localizations_digest(tracker(tr, p_max)) for tracker in trackers]
     assert closed == general
+
+
+@pytest.mark.parametrize("n", [1, 60])
+def test_empty_still_windows_scan_nothing(n, monkeypatch):
+    calls = _count_calls(monkeypatch, "_scan")
+    tr = Trajectory([Grid.filled(10, 10) for _ in range(n)], STILL_T0)
+    assert track(tr) == [] and detector._mobile_tracks(tr, 12) == []
+    assert calls == {"_scan": 0}
 
 
 def test_still_grids_cover_empty_spanning_flagged_and_lone_components():
