@@ -452,6 +452,22 @@ def test_a_count_that_passes_the_bound_stops_the_run_at_the_next_block():
     assert rng.blocks == 1
 
 
+# A -> B and B -> A never absorb: at t_max = 1e9 only the event budget ends a run
+_FLIP = rc.parse_system("A -> B @ 1.0\nB -> A @ 1.0")
+
+
+@pytest.mark.parametrize(
+    # a block of draws serves 32768 events; a budget that ends on a block's
+    # last event draws no further block
+    "max_events, blocks", [(0, 1), (32767, 1), (32768, 1), (32769, 2), (65536, 2)],
+)
+def test_an_event_budget_draws_only_the_blocks_its_events_use(max_events, blocks):
+    rng = _CountingGenerator(0)
+    res = rc.ssa_run(_FLIP, {"A": 1000, "B": 1000}, 1e9, rng, max_events=max_events)
+    assert (res.reason, res.events, sum(res.fired)) == ("max_events", max_events, max_events)
+    assert rng.blocks == blocks
+
+
 @pytest.mark.parametrize(
     "init, t_max, kw, reason",
     [
@@ -631,10 +647,14 @@ def _direct_method(system, init, t_max, seed, sample_dt=None, max_events=None, o
         # counts near 2**50, where floats still count exactly
         (rc.standard_system(), {"A": 2**50 + 7, "B": 2**50 - 3, "S": 2**49}, 1e9, (15, 16),
          dict(max_events=300)),
+        # budgets that end on a block's last event and one event into the next block
+        (_FLIP, {"A": 1000, "B": 1000}, 1e9, (17,), dict(max_events=32768)),
+        (_FLIP, {"A": 1000, "B": 1000}, 1e9, (18,), dict(max_events=32769)),
     ],
     ids=["standard-lattice", "standard-last-channel", "standard-budget",
          "standard-endpoints", "standard-lattice-past-t_max", "150-lattice",
-         "150-budget", "2500-budget", "standard-2**50-budget"],
+         "150-budget", "2500-budget", "standard-2**50-budget", "flip-block-edge",
+         "flip-past-block-edge"],
 )
 def test_whole_trajectories_match_a_plain_direct_method(system, init, t_max, seeds, kw):
     # every event's draws, rates and channel choice, not only the first
