@@ -636,10 +636,24 @@ def class_census(rset: ReducedRuleSet, cfg: FitnessConfig, indices=None) -> list
     rule's row does not depend on which other rules are censused alongside
     it or in which process.  Every Glider track is verified with
     ``replant_glider``.  Returns one row per rule whose soups tracked a
-    Glider or PufferTrain, in index order.
+    Glider or PufferTrain, in index order.  An index that is not an integer,
+    lies outside the class or repeats is a ``ValueError``, raised before any
+    soup runs.
     """
     rules = list(enumerate_rules(rset))
-    indices = range(len(rules)) if indices is None else sorted(indices)
+    if indices is None:
+        indices = range(len(rules))
+    else:
+        picked = set()
+        for index in indices:
+            if not isinstance(index, numbers.Integral) or not 0 <= index < len(rules):
+                raise ValueError(
+                    f"rule index {index!r} is not an integer in 0..{len(rules) - 1}: "
+                    f"the class has {len(rules)} rules")
+            if index in picked:
+                raise ValueError(f"rule index {index!r} is repeated (class of {len(rules)} rules)")
+            picked.add(int(index))
+        indices = sorted(picked)
     rows = []
     for index in indices:
         rule = rules[index]

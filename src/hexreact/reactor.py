@@ -8,7 +8,8 @@ omega**(order-1), where omega is the reaction volume (by default the initial
 particle total, so concentrations start at counts/omega).
 
 ``ssa_run`` writes its event loop afresh for each call: one Python function
-specialised to the system and omega (``_event_loop``).  The counts live in
+specialised to the system and omega (``_event_loop``), the same program
+whether or not the run has an event budget.  The counts live in
 locals, each channel's propensity is an unrolled expression, the running
 sums are built in channel order and a flat ladder of tests on them picks
 the channel that fires, so an event walks no list and runs no inner loop.
@@ -40,10 +41,11 @@ below its stoichiometry puts a factor ``(n - n) = 0`` into the product, so
 the rate is 0.0 or -0.0, which sums and compares like 0.0.  The time test is
 one comparison against the next lattice point, since the lattice the loop
 walks ends one ulp past ``t_max``; only a step across a lattice point goes
-on to test the horizon.  Only a run with an event budget counts its events
-one by one; an unbudgeted run reports the sum of ``fired``.  Two rules keep
-the unguarded laws safe: a channel-choice draw of exactly 0.0 is raised to
-2**-53 (``_draws``), so the target is positive and only a channel with a
+on to test the horizon.  No event counts itself: the events are the sum of
+``fired``, which the loop adds up only where a block of draws ends, and an event
+budget is a last block cut short.  Two rules keep the unguarded laws safe:
+a channel-choice draw of exactly 0.0 is raised to 2**-53 (``_event_loop``'s
+``refill``), so the target is positive and only a channel with a
 positive rate can fire, and ``ssa_run`` rejects initial counts whose
 propensities overflow, where the total would be inf or nan for good.
 
@@ -282,32 +284,16 @@ class SSAResult:
 _BLOCK = 1 << 16
 
 
-def _draws(rng: np.random.Generator) -> memoryview:
-    """One block of uniforms: an event's waiting-time draw, then its channel draw.
-
-    A channel draw of exactly 0.0 becomes 2**-53, the smallest positive value
-    ``Generator.random`` returns, so the target it sets is positive and the
-    first running sum to reach it belongs to a channel with a positive rate.
-    Every other draw is left as it is.
-    """
-    u = rng.random(_BLOCK)
-    choice = u[1::2]
-    np.maximum(choice, 2.0**-53, out=choice)
-    return memoryview(u)
-
-
-# lines ending in "# budget" are kept only when the run has an event budget
 _LOOP = """\
-def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
+def loop(coefs, counts, t_max, budget, lattice, rng, rec_counts):
     {c} = coefs
     buf = _refill(rng, counts)
     {n} = map(float, counts)
     {f} = {zeros}
     log = _log
-    block = _BLOCK
+    block = min(_BLOCK, 2 * budget)
     k = 0
     t = 0.0
-    events = 0  # budget
     next_sample = 0
     t_sample = lattice[0]
     while True:
@@ -315,10 +301,12 @@ def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
         if total == 0.0:
             reason = "absorbed"
             break
-        if events >= max_events:  # budget
-            reason = "max_events"  # budget
-            break  # budget
         if k == block:
+            # a flat tuple: a chain of 5000 "+" nests past the compiler's limit
+            block = min(_BLOCK, 2 * (budget - sum(({f}))))
+            if not block:
+                reason = "max_events"
+                break
             buf = _refill(rng, ({n}))
             k = 0
         t_next = t - log(1.0 - buf[k]) / total
@@ -334,13 +322,12 @@ def loop(coefs, counts, t_max, max_events, lattice, rng, rec_counts):
         target = buf[k + 1] * total
         k += 2
         t = t_next
-        events += 1  # budget
 {fire}
-    return ({n}), t, {events}, reason, ({f})
+    return ({n}), t, reason, ({f})
 """
 
 
-def _event_loop(system: ReactionSystem, omega: float, budgeted: bool):
+def _event_loop(system: ReactionSystem, omega: float):
     """Generate ``ssa_run``'s event loop for one system and volume.
 
     Returns ``(loop, coefs)``.  ``loop`` takes the initial counts as ints and
@@ -357,16 +344,23 @@ def _event_loop(system: ReactionSystem, omega: float, budgeted: bool):
     The loop tests the time once per event, ``t_next >= t_sample``; its
     ``lattice`` must end with a sentinel just past ``t_max`` and hold no
     point above it, so that every step beyond the horizon enters that branch
-    and stops there.  Only a ``budgeted`` loop counts events and tests them
-    against ``max_events``; an unbudgeted one returns the sum of ``f0, f1,
-    ...``, as every event adds one to exactly one channel's count.
+    and stops there.  Events are counted in ``f0, f1, ...`` alone, one per
+    firing of a channel, and the event ``budget`` (``inf`` for none) is
+    spent in blocks: a block serves ``min(_BLOCK // 2, budget - events)``
+    events, with ``events`` the sum of ``f0, f1, ...`` when it starts.  A
+    block of no events ends the run as "max_events" before any draw, so a
+    budget that runs out on a block's last event draws no further block.
 
-    Every block of draws comes through ``refill``, which first checks the
-    counts against ``bound``: a block serves ``_BLOCK // 2`` events, each
-    moving a count by at most ``step``, so a count at most ``bound`` when the
-    block is drawn stays at most 2**53 until the next, and floats count it
-    exactly.  The entry check sees the caller's ints, so a count too large
-    for any float is a ``ValueError``, not an ``OverflowError``.
+    Every block of uniforms comes from ``refill``, which first checks the
+    counts against ``bound``: a block serves at most ``_BLOCK // 2`` events,
+    each moving a count by at most ``step``, so a count at most ``bound``
+    when the block is drawn stays at most 2**53 until the next, and floats
+    count it exactly.  The entry check sees the caller's ints, so a count too
+    large for any float is a ``ValueError``, not an ``OverflowError``.  Each
+    event takes its waiting-time draw, then its channel draw; a channel draw
+    of exactly 0.0 becomes 2**-53, the smallest positive value
+    ``Generator.random`` returns, so the target it sets is positive and the
+    first running sum to reach it belongs to a channel with a positive rate.
     """
     species, reactions = system.species, system.reactions
     coefs, sums, fire, step = [], [], [], 0
@@ -386,21 +380,13 @@ def _event_loop(system: ReactionSystem, omega: float, budgeted: bool):
     def names(prefix, count):
         return ", ".join(f"{prefix}{i}" for i in range(count)) + "," if count else "()"
 
-    template = "\n".join(
-        line.removesuffix("  # budget")
-        for line in _LOOP.splitlines()
-        if budgeted or not line.endswith("  # budget")
-    )
-    f = names("f", len(reactions))
-    source = template.format(
+    source = _LOOP.format(
         c=names("c", len(reactions)),
         n=names("n", len(species)),
-        f=f,
+        f=names("f", len(reactions)),
         zeros="0," * len(reactions) or "()",
         sums="\n".join(" " * 8 + line for line in sums),
         fire="\n".join(" " * 8 + line for line in fire),
-        # a flat tuple: a chain of 5000 "+" nests past the compiler's limit
-        events="events" if budgeted else f"sum(({f}))",
     )
     bound = 2**53 - (_BLOCK // 2) * step
 
@@ -410,7 +396,9 @@ def _event_loop(system: ReactionSystem, omega: float, budgeted: bool):
                 raise ValueError(
                     f"count of {sp} is {int(v)}, above {bound}: past it the event loop's "
                     "float counts could round")
-        return _draws(rng)
+        u = rng.random(_BLOCK)
+        np.maximum(u[1::2], 2.0**-53, out=u[1::2])
+        return memoryview(u)
 
     namespace = {"_log": math.log, "_refill": refill, "_BLOCK": _BLOCK}
     exec(compile(source, "<ssa_run event loop>", "exec"), namespace)
@@ -450,22 +438,30 @@ def ssa_run(
     "t_max" when simulated past the horizon, "absorbed" when no channel can
     fire (remaining samples hold the frozen state), "max_events" when the
     event budget ran out first (the sample record is truncated there).
-    ``fired`` counts the events of each channel.  ``counts`` is int64, and
-    ``events`` and each entry of ``fired`` are ints.
+    ``fired`` counts the events of each channel and ``events`` is their sum.
+    ``counts`` is int64, and ``events`` and each entry of ``fired`` are ints.
 
-    Initial counts that are not nonnegative integers, counts whose
+    One event loop serves every run.  It draws its uniforms in blocks that
+    serve 32768 events each; an event budget only cuts the last block short,
+    so a budgeted run does the same work per event as an unbudgeted one.
+
+    A ``t_max / sample_dt`` that overflows (no sample lattice could count it),
+    initial counts that are not nonnegative integers, counts whose
     propensities overflow (a total of inf or nan would stall the clock) and,
     after that, a count above ``2**53 - 32768 * D``, where ``D`` is the
     largest count change of one firing, are ``ValueError``s.  The event loop
     holds counts as floats, exact only to 2**53, so it checks that bound
-    again every 32768 events and stops the run with the same error if a count
+    again at every block and stops the run with the same error if a count
     has passed it.
     """
     _finite_positive("t_max", t_max)
     if sample_dt is not None:
         _finite_positive("sample_dt", sample_dt)
-    if max_events is not None:
-        _count("max_events", max_events)
+        if not math.isfinite(t_max / sample_dt):
+            raise ValueError(
+                f"t_max / sample_dt must be finite to count the sample lattice, "
+                f"got {t_max!r} / {sample_dt!r}")
+    budget = math.inf if max_events is None else _count("max_events", max_events)
     species = system.species
     unknown = set(init) - set(species)
     if unknown:
@@ -491,14 +487,12 @@ def ssa_run(
         if lattice[-1] < t_max:
             lattice.append(float(t_max))
     rec_counts: list[tuple] = []
-    loop, coefs = _event_loop(system, omega, max_events is not None)
+    loop, coefs = _event_loop(system, omega)
     # the loop records the pre-event state at every lattice point it jumps
     # across.  The sentinel one ulp past t_max ends that scan without a
     # bounds test, and any step beyond t_max reaches it.
     sentinel = math.nextafter(t_max, math.inf)
-    n, t, events, reason, fired = loop(
-        coefs, n, t_max, max_events, lattice + [sentinel], rng, rec_counts
-    )
+    n, t, reason, fired = loop(coefs, n, t_max, budget, lattice + [sentinel], rng, rec_counts)
 
     if reason == "max_events":
         # the lattice beyond t is unreachable, but the state at the moment
@@ -516,7 +510,7 @@ def ssa_run(
         times=np.asarray(times, dtype=float),
         # the rows are the loop's float counts, integers below 2**53
         counts=np.asarray(rec_counts, dtype=np.int64).reshape(len(times), len(species)),
-        events=events,
+        events=sum(fired),
         t_end=t,
         reason=reason,
         omega=omega,

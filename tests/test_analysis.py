@@ -748,6 +748,24 @@ def test_census_to_csv_writes_the_fixture_byte_for_byte():
     assert an.census_to_csv(rows, FIXTURE_CFG, command[len("# Regenerate: "):]) == text
 
 
+@pytest.mark.parametrize(
+    "indices, message",
+    [([0, 648], "rule index 648 is not an integer in 0..647"),
+     ([-1], "rule index -1 is not an integer in 0..647"),
+     ([2.0], "rule index 2.0 is not an integer in 0..647"),
+     ([5, 3, 5], "rule index 5 is repeated")],
+    ids=["past-the-end", "negative", "float", "repeated"],
+)
+def test_class_census_rejects_bad_indices_before_any_soup(indices, message, monkeypatch):
+    def no_soups(*args):
+        raise AssertionError("a soup ran")
+
+    monkeypatch.setattr(an, "mobile_localizations", no_soups)
+    with pytest.raises(ValueError, match=message) as err:
+        an.class_census(an.reference_reduced_set(), CENSUS_CFG, indices=indices)
+    assert "648 rules" in str(err.value)
+
+
 def test_class_census_rejects_zero_trials():
     with pytest.raises(ValueError):
         an.class_census(an.reference_reduced_set(), replace(CENSUS_CFG, trials=0), [0])

@@ -278,7 +278,8 @@ def test_react_deterministic_output(tmp_path):
 @pytest.mark.parametrize(
     "flags",
     [["--omega", "nan"], ["--omega", "inf"], ["--tmax", "inf"],
-     ["--sample-dt", "nan"], ["--max-events", "-3"], ["--ensemble", "0"]],
+     ["--sample-dt", "nan"], ["--max-events", "-3"], ["--ensemble", "0"],
+     ["--tmax", "1e300", "--sample-dt", "1e-10"]],
 )
 def test_react_rejects_non_finite_and_negative_flags(tmp_path, capsys, flags):
     out = tmp_path / "r.csv"

@@ -335,6 +335,9 @@ def test_run_takes_numpy_integer_counts():
         (dict(omega=1e200), r"omega=1e\+200 puts the rate of .* out of float range"),
         (dict(max_events=2.5), "max_events must be an integer, got 2.5"),
         (dict(max_events=math.nan), "max_events must be an integer, got nan"),
+        # 1e300 / 1e-10 overflows to inf, which no lattice index can reach
+        (dict(t_max=1e300, sample_dt=1e-10),
+         r"t_max / sample_dt must be finite to count the sample lattice, got 1e\+300 / 1e-10"),
     ],
 )
 def test_run_rejects_non_finite_and_negative_inputs(kw, message):
