@@ -41,7 +41,7 @@ from .detector import (
     track,
 )
 from .engine import Trajectory, run, signature_index
-from .hexgrid import Grid, axial_to_offset
+from .hexgrid import Grid, axial_to_offset, check_positive
 from .rules import GENOME_ALPHABET, PAIR_INDEX, PAIRS, RuleMatrix
 
 
@@ -332,8 +332,7 @@ def symmetrize(f1: np.ndarray, f2: np.ndarray, eps: float) -> tuple[np.ndarray, 
     Idempotent.  (The floor of the mean is no coupling: the floor of a mean
     of two likelihoods in [0, 1] is 0 unless both are 1.)
     """
-    if not 0 < eps < np.inf:  # NaN fails too
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    check_positive(eps, "eps")
     out1 = np.array(f1, dtype=float)
     out2 = np.array(f2, dtype=float)
     for (i, j), k in PAIR_INDEX.items():

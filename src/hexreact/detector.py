@@ -100,7 +100,6 @@ relies on row wraps preserving parity.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -112,6 +111,7 @@ from .hexgrid import (
     EVEN_ROW_NEIGHBORS,
     ODD_ROW_NEIGHBORS,
     Grid,
+    as_int,
     neighbor_table,
     offset_to_axial,
 )
@@ -762,10 +762,7 @@ def _ends(tr: Trajectory, p_max: int, shaped: str):
     yielded: tracks past their first frame that end with reason None.
     """
     h, w = tr.frames[0].shape
-    try:
-        operator.index(p_max)
-    except TypeError:
-        raise ValueError(f"p_max must be an integer, got {p_max!r}") from None
+    p_max = as_int(p_max, "p_max")
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     _require_even_height(h)
@@ -912,10 +909,7 @@ class FitnessConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if type(f.default) is int:
-                try:
-                    operator.index(value)
-                except TypeError:
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
+                as_int(value, f.name)
             elif type(f.default) is float and not 0 <= value:  # NaN fails too
                 raise ValueError(f"{f.name} must be a non-negative probability, got {value!r}")
         if not isinstance(self.count_puffers, (bool, np.bool_)):

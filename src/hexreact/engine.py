@@ -31,13 +31,12 @@ Both include the centre cell in the counts.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .hexgrid import Grid, neighbor_table
+from .hexgrid import Grid, as_int, neighbor_table
 from .rules import RuleMatrix
 
 #: Packed value of S, A and B: seven of them sum to ``i + 8j`` < 64.
@@ -245,12 +244,9 @@ def run(grid: Grid, rule: RuleMatrix, steps: int, keep_last: int | None = None) 
     copy of its state.  Beyond the kept frames, memory is one key and at
     most one period of states.
     """
-    counts = {"steps": steps} if keep_last is None else {"steps": steps, "keep_last": keep_last}
-    for name, value in counts.items():
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    steps = as_int(steps, "steps")
+    if keep_last is not None:
+        keep_last = as_int(keep_last, "keep_last")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     total = steps + 1

@@ -14,12 +14,12 @@ hits.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .detector import FitnessConfig, fitness
+from .hexgrid import as_int
 from .rules import GENOME_ALPHABET, GENOME_LENGTH, RuleMatrix, random_rule
 
 
@@ -38,11 +38,7 @@ class EAConfig:
         if self.max_generations is not None:
             counts.append("max_generations")
         for name in counts:
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            as_int(getattr(self, name), name)
         if self.population < 2:
             raise ValueError("population must be at least 2")
         if not 1 <= self.tournament <= self.population:

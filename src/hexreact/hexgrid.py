@@ -11,11 +11,18 @@ last row and row zero breaks neighbour symmetry (cell x can list y while y
 does not list x).  All functions here remain total for odd heights, but
 geometric results (symmetric adjacency, translation invariance) are only
 guaranteed on even heights, and the rest of the package assumes them.
+
+The package's shared argument checks live here too, since this module
+imports nothing from the package: ``as_states`` for cell states,
+``as_int`` for integer arguments and ``check_positive`` for positive
+finite numbers.  Each raises a ``ValueError`` naming the argument.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -53,6 +60,32 @@ def as_states(values, what: str) -> np.ndarray:
     if values.max(initial=0) > 2 or (values.dtype.kind == "i" and values.min(initial=0) < 0):
         raise ValueError(f"{what} must be 0 (S), 1 (A) or 2 (B)")
     return values.astype(np.uint8, copy=False)
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int (``operator.index``), or a ``ValueError`` naming ``what``.
+
+    Python and numpy integers and bools pass; floats, even ``2.0``, and
+    strings do not.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_positive(value, what: str) -> None:
+    """A ``ValueError`` naming ``what`` unless ``value`` is a positive finite number.
+
+    NaN and the infinities fail, and so does an int too large for any
+    float, which ``math.isfinite`` would raise as an ``OverflowError``.
+    """
+    try:
+        ok = math.isfinite(value) and value > 0
+    except (OverflowError, TypeError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
 
 
 def offset_to_axial(r: int, c: int) -> tuple[int, int]:

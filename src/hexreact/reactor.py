@@ -41,9 +41,12 @@ below its stoichiometry puts a factor ``(n - n) = 0`` into the product, so
 the rate is 0.0 or -0.0, which sums and compares like 0.0.  The time test is
 one comparison against the next lattice point, since the lattice the loop
 walks ends one ulp past ``t_max``; only a step across a lattice point goes
-on to test the horizon.  No event counts itself: the events are the sum of
-``fired``, which the loop adds up only where a block of draws ends, and an event
-budget is a last block cut short.  Two rules keep the unguarded laws safe:
+on to test the horizon.  The loop pulls the lattice from a generator one
+point at a time, so a run holds only the samples it reaches, and a
+budgeted run's memory follows the run, not ``t_max / sample_dt``.  No
+event counts itself: the events are the sum of ``fired``, which the loop
+adds up only where a block of draws ends, and an event budget is a last
+block cut short.  Two rules keep the unguarded laws safe:
 a channel-choice draw of exactly 0.0 is raised to 2**-53 (``_event_loop``'s
 ``refill``), so the target is positive and only a channel with a
 positive rate can fire, and ``ssa_run`` rejects initial counts whose
@@ -57,11 +60,13 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 import re
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
+
+from .hexgrid import as_int, check_positive
 
 SPECIES = ("A", "B", "S")
 
@@ -75,11 +80,10 @@ class Reaction:
     rate: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
+        check_positive(self.rate, "rate")
         for side in (self.reactants, self.products):
             for sp, nu in side.items():
-                if nu <= 0 or nu != int(nu):
+                if not (0 < nu < math.inf and nu == int(nu)):  # NaN fails too
                     raise ValueError(f"stoichiometry for {sp} must be a positive integer")
         if not self.reactants and not self.products:
             raise ValueError("reaction must involve at least one species")
@@ -240,7 +244,7 @@ def propensity(rx: Reaction, counts: dict, omega: float) -> float:
     concentration doubles total event rates of every order alike.  The value
     is bit-identical to the rate ``ssa_run`` uses for this channel.  A count
     below its stoichiometry gives a zero rate, which may be -0.0.  A count
-    that is not a nonnegative integer (``operator.index``) is a
+    that is not a nonnegative integer (``hexgrid.as_int``) is a
     ``ValueError`` naming the species.
     """
     species = tuple(rx.reactants)
@@ -294,8 +298,7 @@ def loop(coefs, counts, t_max, budget, lattice, rng, rec_counts):
     block = min(_BLOCK, 2 * budget)
     k = 0
     t = 0.0
-    next_sample = 0
-    t_sample = lattice[0]
+    t_sample = next(lattice)
     while True:
 {sums}
         if total == 0.0:
@@ -317,8 +320,7 @@ def loop(coefs, counts, t_max, budget, lattice, rng, rec_counts):
                 break
             while t_sample <= t_next:
                 rec_counts.append(({n}))
-                next_sample += 1
-                t_sample = lattice[next_sample]
+                t_sample = next(lattice)
         target = buf[k + 1] * total
         k += 2
         t = t_next
@@ -341,10 +343,11 @@ def _event_loop(system: ReactionSystem, omega: float):
     compiler's nesting limit.  ``coefs`` are the channel coefficients the
     loop unpacks at entry, passed as values so no float is printed.
 
-    The loop tests the time once per event, ``t_next >= t_sample``; its
-    ``lattice`` must end with a sentinel just past ``t_max`` and hold no
-    point above it, so that every step beyond the horizon enters that branch
-    and stops there.  Events are counted in ``f0, f1, ...`` alone, one per
+    The loop tests the time once per event, ``t_next >= t_sample``, and
+    takes each next sample time with ``next(lattice)``; the ``lattice``
+    iterator must end with a sentinel just past ``t_max`` and hold no point
+    above it, so that every step beyond the horizon enters that branch and
+    stops there.  Events are counted in ``f0, f1, ...`` alone, one per
     firing of a channel, and the event ``budget`` (``inf`` for none) is
     spent in blocks: a block serves ``min(_BLOCK // 2, budget - events)``
     events, with ``events`` the sum of ``f0, f1, ...`` when it starts.  A
@@ -407,18 +410,26 @@ def _event_loop(system: ReactionSystem, omega: float):
 
 def _count(name: str, value) -> int:
     """``value`` as a nonnegative int; anything else is a ``ValueError`` naming ``name``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    value = as_int(value, name)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
     return value
 
 
-def _finite_positive(name: str, value) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def _lattice(t_max: float, dt):
+    """The sample times ``k * dt`` up to ``t_max``, and ``t_max``, one at a time.
+
+    The last multiple, ``k = floor(t_max / dt)``, is clamped to ``t_max``;
+    ``t_max`` follows it when it falls short.  With ``dt = t_max`` the times
+    are ``0.0, t_max``.
+    """
+    last = math.floor(t_max / dt)
+    yield from (k * dt for k in range(last))
+    # the last k * dt can round one ulp past t_max (5 * 2.87 > 14.35)
+    t = min(last * dt, t_max)
+    yield t
+    if t < t_max:
+        yield t_max
 
 
 def ssa_run(
@@ -444,6 +455,9 @@ def ssa_run(
     One event loop serves every run.  It draws its uniforms in blocks that
     serve 32768 events each; an event budget only cuts the last block short,
     so a budgeted run does the same work per event as an unbudgeted one.
+    The loop walks the sample lattice rather than building it first, so a
+    budgeted run holds only the samples it reaches: its memory follows the
+    run, not ``t_max / sample_dt``.
 
     A ``t_max / sample_dt`` that overflows (no sample lattice could count it),
     initial counts that are not nonnegative integers, counts whose
@@ -454,9 +468,9 @@ def ssa_run(
     again at every block and stops the run with the same error if a count
     has passed it.
     """
-    _finite_positive("t_max", t_max)
+    check_positive(t_max, "t_max")
     if sample_dt is not None:
-        _finite_positive("sample_dt", sample_dt)
+        check_positive(sample_dt, "sample_dt")
         if not math.isfinite(t_max / sample_dt):
             raise ValueError(
                 f"t_max / sample_dt must be finite to count the sample lattice, "
@@ -469,7 +483,7 @@ def ssa_run(
     n = [_count(f"initial count of {sp}", init.get(sp, 0)) for sp in species]
     if omega is None:
         omega = float(sum(n)) or 1.0
-    _finite_positive("omega", omega)
+    check_positive(omega, "omega")
     start = dict(zip(species, n))
     try:
         a0 = sum(propensity(rx, start, omega) for rx in system.reactions)
@@ -478,32 +492,27 @@ def ssa_run(
     if not math.isfinite(a0):
         raise ValueError(f"propensities overflow at initial counts {start} with omega={omega!r}")
 
-    if sample_dt is None:
-        lattice = [0.0, float(t_max)]
-    else:
-        lattice = [k * sample_dt for k in range(int(math.floor(t_max / sample_dt)) + 1)]
-        # the last k * sample_dt can round one ulp past t_max (5 * 2.87 > 14.35)
-        lattice[-1] = min(lattice[-1], float(t_max))
-        if lattice[-1] < t_max:
-            lattice.append(float(t_max))
+    end = float(t_max)
+    dt = end if sample_dt is None else sample_dt
     rec_counts: list[tuple] = []
     loop, coefs = _event_loop(system, omega)
     # the loop records the pre-event state at every lattice point it jumps
     # across.  The sentinel one ulp past t_max ends that scan without a
     # bounds test, and any step beyond t_max reaches it.
     sentinel = math.nextafter(t_max, math.inf)
-    n, t, reason, fired = loop(coefs, n, t_max, budget, lattice + [sentinel], rng, rec_counts)
+    lattice = chain(_lattice(end, dt), [sentinel])
+    n, t, reason, fired = loop(coefs, n, t_max, budget, lattice, rng, rec_counts)
 
     if reason == "max_events":
         # the lattice beyond t is unreachable, but the state at the moment
         # the budget ran out is known -- record it so the series ends live
-        times = lattice[: len(rec_counts)] + [t]
+        times = [*islice(_lattice(end, dt), len(rec_counts)), t]
         rec_counts.append(n)
     else:
         # no further events fire before t_max: the state holds to the horizon
         # (t_end stays at the absorption time when reason == "absorbed")
-        times = lattice
-        rec_counts += [n] * (len(lattice) - len(rec_counts))
+        times = list(_lattice(end, dt))
+        rec_counts += [n] * (len(times) - len(rec_counts))
 
     return SSAResult(
         species=species,
@@ -530,10 +539,7 @@ def count_oscillation_features(series, detrend: int = 0) -> int:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"series must be 1-D, got shape {x.shape}")
-    try:
-        detrend = operator.index(detrend)
-    except TypeError:
-        raise ValueError(f"detrend must be an integer, got {detrend!r}") from None
+    detrend = as_int(detrend, "detrend")
     if detrend:
         if detrend < 3 or detrend % 2 == 0:
             raise ValueError("detrend width must be odd and at least 3")

@@ -190,7 +190,10 @@ def test_symmetrize_input_validation():
         an.symmetrize(fa, fb, eps=0)
 
 
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0, -0.1])
+# 10**400 is an int past the floats, which fails like inf
+@pytest.mark.parametrize(
+    "eps", [float("nan"), float("inf"), 0, -0.1, pytest.param(10**400, id="10**400")]
+)
 def test_symmetrize_rejects_a_non_finite_or_non_positive_eps(eps):
     fa, fb = tables_with({}, {})
     with pytest.raises(ValueError, match="eps must be positive and finite"):

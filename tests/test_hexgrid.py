@@ -6,12 +6,46 @@ import pytest
 from hexreact.hexgrid import (
     CellState,
     Grid,
+    as_int,
     axial_to_offset,
+    check_positive,
     count_states,
     neighbor_table,
     neighborhood,
     offset_to_axial,
 )
+
+
+@pytest.mark.parametrize(
+    "value, integer, positive",
+    [
+        (3, 3, True),
+        (np.int64(3), 3, True),
+        (np.uint8(0), 0, False),
+        (True, 1, True),
+        (2.0, None, True),
+        ("3", None, False),
+        # past the floats: math.isfinite overflows
+        pytest.param(10**400, 10**400, False, id="10**400"),
+        (float("nan"), None, False),
+        (float("inf"), None, False),
+        (float("-inf"), None, False),
+        (0, 0, False),
+        (-1, -1, False),
+    ],
+)
+def test_the_shared_argument_checks(value, integer, positive):
+    if integer is None:
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            as_int(value, "n")
+    else:
+        got = as_int(value, "n")
+        assert got == integer and type(got) in (int, bool)
+    if positive:
+        check_positive(value, "x")
+    else:
+        with pytest.raises(ValueError, match=r"^x must be positive and finite, got "):
+            check_positive(value, "x")
 
 
 def random_grid(rng, h, w):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,12 +339,32 @@ def test_run_takes_numpy_integer_counts():
         # 1e300 / 1e-10 overflows to inf, which no lattice index can reach
         (dict(t_max=1e300, sample_dt=1e-10),
          r"t_max / sample_dt must be finite to count the sample lattice, got 1e\+300 / 1e-10"),
+        # an int past the floats, which math.isfinite raises as OverflowError
+        (dict(t_max=10**400), "t_max must be positive and finite"),
+        (dict(sample_dt=10**400), "sample_dt must be positive and finite"),
+        (dict(omega=10**400), "omega must be positive and finite"),
     ],
 )
 def test_run_rejects_non_finite_and_negative_inputs(kw, message):
     args = dict(t_max=1.0, rng=np.random.default_rng(0)) | kw
     with pytest.raises(ValueError, match=message):
         rc.ssa_run(rc.standard_system(), {"A": 10, "B": 10, "S": 10}, **args)
+
+
+@pytest.mark.parametrize(
+    "reactants, rate, message",
+    [
+        ({"A": 1}, 10**400, "rate must be positive and finite"),
+        # int(inf) and int(nan) would raise errors of their own, naming no species
+        ({"A": math.inf}, 1.0, "stoichiometry for A must be a positive integer"),
+        ({"A": math.nan}, 1.0, "stoichiometry for A must be a positive integer"),
+    ],
+    ids=["rate 10**400", "stoichiometry inf", "stoichiometry nan"],
+)
+def test_reaction_rejects_values_past_the_floats_by_name(reactants, rate, message):
+    with pytest.raises(ValueError, match=message):
+        rc.Reaction(reactants, {"S": 1}, rate)
+    assert rc.Reaction({"A": 2.0}, {"S": 1}, 1.0).order == 2  # an integral float stays
 
 
 def test_zero_event_budget_stops_before_the_first_event():
@@ -469,6 +490,23 @@ def test_an_event_budget_draws_only_the_blocks_its_events_use(max_events, blocks
     res = rc.ssa_run(_FLIP, {"A": 1000, "B": 1000}, 1e9, rng, max_events=max_events)
     assert (res.reason, res.events, sum(res.fired)) == ("max_events", max_events, max_events)
     assert rng.blocks == blocks
+
+
+def test_a_budgeted_run_holds_only_the_samples_it_reaches():
+    # the lattice has 10**6 points, about 40 MB as a list of floats; a first
+    # run outside the trace keeps one-time costs out of the peak
+    rc.ssa_run(_FLIP, {"A": 10, "B": 10}, 1.0, np.random.default_rng(0), max_events=5)
+    tracemalloc.start()
+    try:
+        res = rc.ssa_run(_FLIP, {"A": 1000, "B": 1000}, 2.5e5, np.random.default_rng(0),
+                         sample_dt=0.25, max_events=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.reason, res.events) == ("max_events", 5000)
+    assert res.times[:-1].tolist() == [k * 0.25 for k in range(len(res.times) - 1)]
+    assert res.times[-2] <= res.t_end == res.times[-1] < res.times[-2] + 0.25
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize(
